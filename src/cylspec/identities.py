@@ -165,9 +165,13 @@ def _axis_inverse_derivatives(params):
 
 
 def _tail_rate(samples, t, floor):
+    # The tail is where the profile, right of its peak, has fallen below
+    # 1e-3 of the peak but not yet to round-off; selecting it by
+    # magnitude keeps fast-decaying profiles measurable.
     mag = np.abs(samples)
-    peak = float(np.max(mag))
-    sel = (t >= t[-1] - 0.25 * (t[-1] - t[0])) & (mag > peak * 1e-13)
+    top = int(np.argmax(mag))
+    rel = mag / mag[top]
+    sel = (np.arange(mag.size) > top) & (rel < 1e-3) & (rel > 1e-13)
     if np.count_nonzero(sel) < 8:
         raise DecayHypothesisError("too few tail samples to measure a decay rate")
     slope = -np.polyfit(t[sel], np.log(mag[sel]), 1)[0]

@@ -122,11 +122,9 @@ def riesz_kernel_theta(params: CylinderParams, z):
     if np.any(zs < 0.0) or np.any(zs >= 1.0):
         raise DomainError("kernel argument must lie in [0, 1)")
     half_n = 0.5 * params.n
-    flat = zs.reshape(-1)
-    out = np.array(
-        [hyp2f1(half_n - params.gamma, 1.0 - params.gamma, half_n, zi**2) for zi in flat]
-    ).reshape(zs.shape)
-    return float(out) if np.ndim(z) == 0 else out
+    x = np.atleast_1d(zs) ** 2
+    out = hyp2f1(half_n - params.gamma, 1.0 - params.gamma, half_n, x)
+    return float(out[0]) if np.ndim(z) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -1,110 +1,46 @@
 """Complex log-Gamma, digamma, and the Gauss hypergeometric function.
 
 These three cover every special-function need of the symbol and kernel
-machinery.  ``log_gamma`` and ``digamma`` are vectorized over complex
-arrays because symbol evaluation on quadrature panels calls them with
-thousands of points at once; ``hyp2f1`` is scalar, real-argument only.
+machinery.  The numerics are ``scipy.special`` (``loggamma``, ``psi``,
+``hyp2f1``); this module is the boundary around them.  It checks the
+input, turns poles and domain violations into named errors, and keeps
+the calling conventions: scalar in, scalar out, array in, array out.
+Every call evaluates on a 1-d view, so a scalar result is bit-identical
+to the same entry of a vector result.
 
-The asymptotic route (argument recurrence into the half-plane
-``Re z >= 12`` followed by a Stirling tail) keeps relative error near
-machine precision on the strip ``|z| <= 100`` that the symbol code uses.
+``log_gamma`` and ``digamma`` take complex arguments; ``hyp2f1`` takes
+real parameters and real ``|x| < 1``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy import special
 
-from .errors import ConvergenceError, DomainError, PoleError, ValidationError
+from .errors import DomainError, PoleError, ValidationError
 
-__all__ = ["log_gamma", "digamma", "hyp2f1"]
+__all__ = ["log_gamma", "digamma", "hyp2f1", "near_pole"]
 
-_POLE_SNAP = 1e-14
-_ASYMPTOTIC_RE = 12.0
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# Bernoulli numbers B_2..B_26 as exact-ratio floats.
-_B2K = np.array(
-    [
-        1.0 / 6.0,
-        -1.0 / 30.0,
-        1.0 / 42.0,
-        -1.0 / 30.0,
-        5.0 / 66.0,
-        -691.0 / 2730.0,
-        7.0 / 6.0,
-        -3617.0 / 510.0,
-        43867.0 / 798.0,
-        -174611.0 / 330.0,
-        854513.0 / 138.0,
-        -236364091.0 / 2730.0,
-        8553103.0 / 6.0,
-    ]
-)
-
-# Stirling tail coefficients: B_2k / (2k (2k-1)) for log-Gamma, B_2k / 2k
-# for digamma.
-_K = np.arange(1, len(_B2K) + 1)
-_STIRLING_LGAMMA = _B2K / (2 * _K * (2 * _K - 1))
-_STIRLING_DIGAMMA = _B2K / (2 * _K)
+_GAMMA_POLE_TOL = 1e-14
+_HYP2F1_POLE_TOL = 1e-12
 
 
-def _as_complex_array(z, name):
+def near_pole(u, tol=_GAMMA_POLE_TOL):
+    """Mask of the entries of ``u`` within ``tol`` of a non-positive integer."""
+    u = np.asarray(u)
+    k = np.round(u.real)
+    return (k <= 0.0) & (np.abs(u - k) <= tol)
+
+
+def _gamma_family(ufunc, z, name):
     arr = np.asarray(z, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name}: argument must be finite, got {z!r}")
-    return arr
-
-
-def _check_poles(arr, name):
-    k = np.round(arr.real)
-    on_pole = (k <= 0.0) & (np.abs(arr - k) <= _POLE_SNAP)
+    on_pole = near_pole(arr)
     if np.any(on_pole):
-        bad = arr[on_pole].ravel()[0]
-        raise PoleError(f"{name}: argument {bad} is a non-positive integer")
-
-
-def _lgamma_stirling(w):
-    # Valid for Re w >= _ASYMPTOTIC_RE; relative error below 1e-15.
-    r = np.zeros_like(w)
-    winv2 = 1.0 / (w * w)
-    power = 1.0 / w
-    for coef in _STIRLING_LGAMMA:
-        r += coef * power
-        power *= winv2
-    return (w - 0.5) * np.log(w) - w + _HALF_LOG_TWO_PI + r
-
-
-def _digamma_stirling(w):
-    r = np.zeros_like(w)
-    winv2 = 1.0 / (w * w)
-    power = winv2.copy()
-    for coef in _STIRLING_DIGAMMA:
-        r -= coef * power
-        power *= winv2
-    return np.log(w) - 0.5 / w + r
-
-
-def _via_recurrence(z, stirling_tail, recurrence_term):
-    # Work on a 1-d view even for scalars: numpy's complex scalar ops and
-    # its array ufunc loops can disagree in the last bit, and downstream
-    # code relies on bit-identical vector/scalar evaluation.
-    shape = z.shape
-    z = np.atleast_1d(z)
-    # Reflect to the closed upper half-plane first: both functions commute
-    # with conjugation, and evaluating one side keeps the continuation
-    # branch deterministic on the negative real axis.
-    flip = z.imag < 0.0
-    w = np.where(flip, np.conj(z), z)
-    shift = np.zeros_like(w)
-    mask = w.real < _ASYMPTOTIC_RE
-    while np.any(mask):
-        shift[mask] += recurrence_term(w[mask])
-        w = w + mask.astype(np.complex128)
-        mask = w.real < _ASYMPTOTIC_RE
-    out = stirling_tail(w) - shift
-    return np.where(flip, np.conj(out), out).reshape(shape)
+        raise PoleError(f"{name}: argument {arr[on_pole][0]} is a non-positive integer")
+    out = ufunc(np.atleast_1d(arr)).reshape(arr.shape)
+    return complex(out) if np.ndim(z) == 0 else out
 
 
 def log_gamma(z):
@@ -130,10 +66,7 @@ def log_gamma(z):
     ValidationError
         If any argument is non-finite.
     """
-    arr = _as_complex_array(z, "log_gamma")
-    _check_poles(arr, "log_gamma")
-    out = _via_recurrence(arr, _lgamma_stirling, np.log)
-    return complex(out) if np.isscalar(z) or np.ndim(z) == 0 else out
+    return _gamma_family(special.loggamma, z, "log_gamma")
 
 
 def digamma(z):
@@ -157,136 +90,44 @@ def digamma(z):
     ValidationError
         If any argument is non-finite.
     """
-    arr = _as_complex_array(z, "digamma")
-    _check_poles(arr, "digamma")
-    out = _via_recurrence(arr, _digamma_stirling, lambda w: 1.0 / w)
-    return complex(out) if np.isscalar(z) or np.ndim(z) == 0 else out
+    return _gamma_family(special.psi, z, "digamma")
 
 
-def _real_gamma(x):
-    # Sign handled by the complex exponential; x must not be a pole.
-    return complex(np.exp(log_gamma(complex(x)))).real
-
-
-def _is_nonpositive_integer(x, tol=1e-12):
-    return x <= 0.5 and abs(x - round(x)) <= tol
-
-
-def _series_2f1(a, b, c, x, maxterms, tol=1e-16):
-    # Plain ascending series with compensated summation.  All terms share
-    # a sign pattern for the parameter ranges used here, so the only
-    # accuracy limit is the term count.
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    for k in range(maxterms):
-        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * x
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) <= tol * abs(total):
-            # Ratio of consecutive terms tends to x; two consecutive tiny
-            # terms guard against an accidental zero crossing.
-            nxt = term * (a + k + 1) * (b + k + 1) / ((c + k + 1) * (k + 2.0)) * x
-            if abs(nxt) <= tol * abs(total):
-                return total
-    ratio = abs(x)
-    if ratio < 1.0 and abs(term) * ratio / (1.0 - ratio) <= 1e-12 * abs(total):
-        return total
-    raise ConvergenceError(
-        f"hyp2f1 series did not settle after {maxterms} terms at x={x}"
-    )
-
-
-def _terminating_2f1(a, b, c, x):
-    kmax = int(round(-a if _is_nonpositive_integer(a) else -b))
-    total = 1.0
-    term = 1.0
-    for k in range(kmax):
-        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * x
-        total += term
-    return total
-
-
-def hyp2f1(a, b, c, x, maxterms=500_000):
+def hyp2f1(a, b, c, x):
     """Gauss hypergeometric function for real parameters and ``|x| < 1``.
 
-    The ascending series is used directly away from the endpoint; close
-    to ``x = 1`` the standard ``1 - x`` connection formula takes over
-    when ``c - a - b`` is safely non-integer.  Integer ``c - a - b``
-    (where the connection formula degenerates) falls back to closed
-    forms when ``c`` equals ``a`` or ``b`` and otherwise to a long
-    compensated summation, whose terms keep a fixed sign for every
-    parameter set this toolkit produces.
+    Integer ``c - a - b``, where the ``1 - x`` connection formula
+    degenerates into logarithmic terms, is handled by ``scipy.special``
+    and needs no special casing here.
 
     Parameters
     ----------
     a, b, c : float
         Real parameters; ``c`` must not be a non-positive integer.
-    x : float
-        Argument with ``|x| < 1``.
-    maxterms : int, optional
-        Iteration budget for the series regimes.
+    x : float or array_like of float
+        Arguments with ``|x| < 1``.
 
     Returns
     -------
-    float
+    float or numpy.ndarray
 
     Raises
     ------
     PoleError
         If ``c`` is within ``1e-12`` of a non-positive integer.
     DomainError
-        If ``|x| >= 1``.
-    ConvergenceError
-        If no regime converges within ``maxterms`` terms.
+        If any ``|x| >= 1``.
+    ValidationError
+        If a parameter or argument is non-finite.
     """
-    a, b, c, x = float(a), float(b), float(c), float(x)
-    if not all(map(math.isfinite, (a, b, c, x))):
+    a, b, c = float(a), float(b), float(c)
+    xs = np.asarray(x, dtype=np.float64)
+    if not (np.all(np.isfinite([a, b, c])) and np.all(np.isfinite(xs))):
         raise ValidationError("hyp2f1: parameters must be finite")
-    if _is_nonpositive_integer(c):
+    if near_pole(c, _HYP2F1_POLE_TOL):
         raise PoleError(f"hyp2f1: c={c} is a non-positive integer")
-    if abs(x) >= 1.0:
-        raise DomainError(f"hyp2f1: |x| must be < 1, got x={x}")
-    if x == 0.0:
-        return 1.0
-    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        return _terminating_2f1(a, b, c, x)
-    if x < -0.5:
-        # Pfaff transformation maps (-1, 0) into (0, 1/2).
-        return (1.0 - x) ** (-a) * hyp2f1(a, c - b, c, x / (x - 1.0), maxterms)
-    if x < 0.75:
-        return _series_2f1(a, b, c, x, maxterms)
-
-    s = c - a - b
-    if abs(s - round(s)) > 0.02:
-        # Connection formula at x -> 1-: both series run in powers of
-        # 1 - x <= 0.25.  A Gamma pole in a denominator kills its term.
-        u = 1.0 - x
-        g_c = _real_gamma(c)
-        if _is_nonpositive_integer(c - a) or _is_nonpositive_integer(c - b):
-            p1 = 0.0
-        else:
-            p1 = (
-                g_c
-                * _real_gamma(s)
-                / (_real_gamma(c - a) * _real_gamma(c - b))
-                * _series_2f1(a, b, 1.0 - s, u, maxterms)
-            )
-        if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-            p2 = 0.0
-        else:
-            p2 = (
-                u ** s
-                * g_c
-                * _real_gamma(-s)
-                / (_real_gamma(a) * _real_gamma(b))
-                * _series_2f1(c - a, c - b, 1.0 + s, u, maxterms)
-            )
-        return p1 + p2
-    if abs(c - b) <= 1e-12:
-        return (1.0 - x) ** (-a)
-    if abs(c - a) <= 1e-12:
-        return (1.0 - x) ** (-b)
-    return _series_2f1(a, b, c, x, maxterms)
+    outside = np.abs(xs) >= 1.0
+    if np.any(outside):
+        raise DomainError(f"hyp2f1: |x| must be < 1, got x={xs[outside][0]}")
+    out = special.hyp2f1(a, b, c, np.atleast_1d(xs)).reshape(xs.shape)
+    return float(out) if np.ndim(x) == 0 else out

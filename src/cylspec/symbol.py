@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PoleError, ThresholdError, ValidationError
-from .specfun import hyp2f1, log_gamma
+from .specfun import digamma, hyp2f1, log_gamma, near_pole
 
 __all__ = [
     "CylinderParams",
@@ -165,23 +165,17 @@ def _gamma_ratio_exp(a, b, w, two_gamma_log2):
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     num1, num2 = a + w, a - w
     den1, den2 = b + w, b - w
-
-    def _near_pole(u):
-        k = np.round(u.real)
-        return (k <= 0.0) & (np.abs(u - k) <= 1e-14)
-
-    if np.any(_near_pole(num1) | _near_pole(num2)):
+    if np.any(near_pole(num1) | near_pole(num2)):
         raise PoleError("symbol evaluated at a pole (numerator Gamma argument)")
-    zero = _near_pole(den1) | _near_pole(den2)
+    zero = near_pole(den1) | near_pole(den2)
     # Mask denominator poles before calling log_gamma, then restore.
     safe1 = np.where(zero, 1.0, den1)
     safe2 = np.where(zero, 1.0, den2)
+    # Summing in +-w pairs makes the exponent exactly even in w.
     out = np.exp(
         two_gamma_log2
-        + log_gamma(num1)
-        + log_gamma(num2)
-        - log_gamma(safe1)
-        - log_gamma(safe2)
+        + (log_gamma(num1) + log_gamma(num2))
+        - (log_gamma(safe1) + log_gamma(safe2))
     )
     out[zero] = 0.0
     # Reflection symmetry makes the ratio real whenever w is real (the
@@ -227,21 +221,14 @@ def theta_derivative(params, mode, z):
     form is 0 * inf; there the derivative is the finite limit obtained
     from the reciprocal-Gamma residue, 1/G(s) ~ (-1)^j j! (s + j).
     """
-    from .specfun import digamma  # local import keeps module load light
-
     a, b = mode_constants(params, mode)
     z = np.asarray(z, dtype=np.complex128)
     shape = z.shape
     w = 0.5j * np.atleast_1d(z).ravel()
     c = 2.0 * params.gamma * _LOG2
-
-    def _near_pole(u):
-        k = np.round(u.real)
-        return (k <= 0.0) & (np.abs(u - k) <= 1e-14)
-
-    if np.any(_near_pole(a + w) | _near_pole(a - w)):
+    if np.any(near_pole(a + w) | near_pole(a - w)):
         raise PoleError("symbol derivative evaluated at a pole (numerator Gamma)")
-    at1, at2 = _near_pole(b + w), _near_pole(b - w)  # disjoint since b > 0
+    at1, at2 = near_pole(b + w), near_pole(b - w)  # disjoint since b > 0
     out = np.empty_like(w)
     reg = ~(at1 | at2)
     if np.any(reg):
@@ -249,16 +236,20 @@ def theta_derivative(params, mode, z):
         th = _gamma_ratio_exp(a, b, wr, c)
         logd = digamma(a + wr) - digamma(a - wr) - digamma(b + wr) + digamma(b - wr)
         out[reg] = th * 0.5j * logd
-    for idx in np.nonzero(at1)[0]:
+    for idx in np.nonzero(at1 | at2)[0]:
         wi = w[idx]
-        j = int(round(-(b + wi).real))
-        rest = np.exp(c + log_gamma(a + wi) + log_gamma(a - wi) - log_gamma(b - wi))
-        out[idx] = 0.5j * rest * (-1.0 if j % 2 else 1.0) * math.factorial(j)
-    for idx in np.nonzero(at2)[0]:
-        wi = w[idx]
-        k = int(round(-(b - wi).real))
-        rest = np.exp(c + log_gamma(a + wi) + log_gamma(a - wi) - log_gamma(b + wi))
-        out[idx] = -0.5j * rest * (-1.0 if k % 2 else 1.0) * math.factorial(k)
+        # The vanishing Gamma argument is b + s wi = -j; log j! joins the
+        # exponent so that large j cannot overflow.
+        s = 1.0 if at1[idx] else -1.0
+        j = int(round(-(b + s * wi).real))
+        rest = np.exp(
+            c
+            + log_gamma(a + wi)
+            + log_gamma(a - wi)
+            - log_gamma(b - s * wi)
+            + math.lgamma(j + 1)
+        )
+        out[idx] = s * 0.5j * rest * (-1.0 if j % 2 else 1.0)
     out = out.reshape(shape)
     return complex(out) if np.ndim(z) == 0 else out
 
@@ -341,10 +332,7 @@ def kernel_K0(params, t):
         raise DomainError("kernel_K0 is singular at t = 0")
     n, g, q0 = params.n, params.gamma, params.q0
     a, b, c = (n + 2.0 * g) / 2.0, 1.0 + g, n / 2.0
-    flat = np.atleast_1d(t_arr).ravel()
-    out = np.empty_like(flat)
-    for i, ti in enumerate(flat):
-        at = abs(ti)
-        out[i] = math.exp(-q0 * ti - a * at) * hyp2f1(a, b, c, math.exp(-2.0 * at))
-    out = out.reshape(np.atleast_1d(t_arr).shape)
+    ts = np.atleast_1d(t_arr)
+    at = np.abs(ts)
+    out = np.exp(-q0 * ts - a * at) * hyp2f1(a, b, c, np.exp(-2.0 * at))
     return float(out[0]) if np.ndim(t) == 0 else out

@@ -65,6 +65,14 @@ def test_poles_csv_table(capsys):
     assert taus == [0.0] * 5
 
 
+def test_poles_past_float_factorial(capsys):
+    # At kappa = 0 the roots are symbol zeros, whose derivative carries j!;
+    # the 172nd root needs 171!, which exceeds the float range.
+    code, out = _run(capsys, ["poles", "--n", "3", "--gamma", "0.5", "--count", "172"])
+    assert code == 0
+    assert len(json.loads(out)["roots"]) == 172
+
+
 def test_greens_artifact_round_trip(tmp_path, capsys):
     out_path = tmp_path / "g.json"
     code, _ = _run(

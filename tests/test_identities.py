@@ -14,6 +14,7 @@ from cylspec.errors import (
 from cylspec.greens import build_greens, component_solutions, solve_convolution
 from cylspec.grid import GridFunction
 from cylspec.identities import pohozaev_check, wronskian, wronskian_defect
+from cylspec.profiles import bubble, cylinder_constant
 from cylspec.symbol import CylinderParams
 
 P03 = CylinderParams(n=3, gamma=0.5, kappa=0.3)
@@ -182,6 +183,17 @@ def test_pohozaev_bubble_closed_form():
         assert abs(value - PI6) < 5e-4
     assert report.relative_spread <= 1e-3
     assert abs(report.rhs_integral - math.pi / 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("n, gamma", [(4, 0.75), (5, 0.25), (6, 0.9)])
+def test_pohozaev_exact_bubble(n, gamma):
+    # The exact solution of Theta w = w^p.  (5, 1/4) and (6, 0.9) decay
+    # at rates 2.25 and 2.1, fast enough to reach round-off well inside
+    # the default window.
+    params = CylinderParams(n=n, gamma=gamma)
+    scale = cylinder_constant(params)
+    report = pohozaev_check(params, _grid(lambda t: scale * bubble(params, t)))
+    assert report.relative_spread <= 1e-3
 
 
 def test_pohozaev_second_order_in_step():

@@ -126,8 +126,11 @@ def test_riesz_kernel_closed_form():
         assert abs(riesz_kernel_theta(params, z) - want) < 1e-13
     got = riesz_kernel_theta(CylinderParams(n=4, gamma=0.6), 0.5)
     assert abs(got - 1.0818553422918196) < 1e-13
-    vals = riesz_kernel_theta(params, np.linspace(0.0, 0.9, 60))
+    zs = np.linspace(0.0, 0.9, 60)
+    vals = riesz_kernel_theta(params, zs)
     assert np.all(np.diff(vals) > 0.0)
+    for zi, value in zip(zs, vals):
+        assert riesz_kernel_theta(params, float(zi)) == value
     with pytest.raises(DomainError):
         riesz_kernel_theta(params, 1.0)
     with pytest.raises(DomainError):

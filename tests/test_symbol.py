@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -103,6 +104,28 @@ def test_symbol_derivative_matches_finite_difference():
         assert abs(theta_derivative(P35, 0, z) - fd) < 5e-8 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("j", [5, 171, 200])
+def test_symbol_derivative_at_high_zeros_matches_mpmath(j):
+    # Zero j of Theta_0 for (3, 1/2) sits at z = i (1 + 2j); j! alone
+    # overflows a float from j = 171 on.
+    a, b = mode_constants(P35, 0)
+
+    def symbol(z):
+        w = 0.5j * z
+        return (
+            mpmath.mpf(2) ** (2 * P35.gamma)
+            * mpmath.gamma(a + w)
+            * mpmath.gamma(a - w)
+            * mpmath.rgamma(b + w)
+            * mpmath.rgamma(b - w)
+        )
+
+    for z in (complex(0, 1 + 2 * j), complex(0, -1 - 2 * j)):
+        with mpmath.workdps(40):
+            want = complex(mpmath.diff(symbol, mpmath.mpc(z)))
+        assert abs(theta_derivative(P35, 0, z) - want) <= 1e-12 * abs(want)
+
+
 def test_shifted_symbol_reduces_to_plain_at_critical():
     rng = np.random.default_rng(31)
     params = CylinderParams(n=4, gamma=0.75)  # p defaults to critical
@@ -159,6 +182,8 @@ def test_kernel_closed_form_n3_critical():
     assert np.max(np.abs(got / want - 1.0)) < 1e-12
     # Evenness at critical exponent.
     assert np.allclose(kernel_K0(P35, -t), got, rtol=1e-13)
+    for ti, value in zip(t, got):
+        assert kernel_K0(P35, float(ti)) == value
 
 
 def test_kernel_reference_values():
