@@ -12,10 +12,8 @@ report on stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -23,7 +21,8 @@ import numpy as np
 
 from .errors import CylspecError, ThresholdError, ValidationError
 from .greens import build_greens, solve_convolution
-from .grid import DEFAULT_STEP, DEFAULT_T_MAX, GridFunction
+from .grid import DEFAULT_STEP, DEFAULT_T_MAX, GridFunction, write_csv
+from .grid import FLOAT_FORMAT as _FMT
 from .identities import pohozaev_check, wronskian, wronskian_defect
 from .indicial import find_roots
 from .nonlinear import solve_profile
@@ -31,8 +30,6 @@ from .profiles import bubble, bubble_residual, cylinder_constant, frobenius_fit
 from .symbol import CylinderParams, theta
 
 __all__ = ["JobConfig", "main", "run"]
-
-_FMT = "%.17g"
 
 # These produce scalar reports with no natural tabular form.
 _REPORT_ONLY = ("verify-bubble", "pohozaev", "frobenius")
@@ -99,11 +96,6 @@ class JobResult:
     exit_code: int = 0
 
 
-def _lattice(cfg):
-    n = round((cfg.t_max - cfg.t_min) / cfg.step) + 1
-    return cfg.t_min + cfg.step * np.arange(n)
-
-
 def _load_grid(path):
     try:
         if path.endswith(".json"):
@@ -120,9 +112,10 @@ def _default_guess(cfg):
             f"kappa {cfg.params.kappa!r} is outside the stable range "
             f"[0, {cfg.params.lam!r})"
         )
-    t = _lattice(cfg)
     scale = cylinder_constant(cfg.params)
-    return GridFunction(cfg.t_min, cfg.t_max, cfg.step, scale * bubble(cfg.params, t))
+    return GridFunction.from_callable(
+        lambda t: scale * bubble(cfg.params, t), cfg.t_min, cfg.t_max, cfg.step
+    )
 
 
 def _job_symbol(cfg):
@@ -208,8 +201,9 @@ def _job_verify_bubble(cfg):
         raise ValidationError(
             "the closed-form profile exists at the critical exponent; drop --p"
         )
-    t = _lattice(cfg)
-    profile = GridFunction(cfg.t_min, cfg.t_max, cfg.step, bubble(cfg.params, t))
+    profile = GridFunction.from_callable(
+        lambda t: bubble(cfg.params, t), cfg.t_min, cfg.t_max, cfg.step
+    )
     residual = bubble_residual(cfg.params, profile)
     if residual > cfg.tolerance:
         raise ThresholdError(
@@ -301,28 +295,13 @@ def _render(cfg, result):
     if cfg.fmt == "json":
         doc = {"metadata": {"config": echo, **result.report}}
         if result.grid is not None:
-            g = result.grid
-            doc["grid"] = {"t_min": g.t_min, "t_max": g.t_max, "step": g.step}
-            doc["re"] = [float(v) for v in g.samples.real]
-            doc["im"] = [float(v) for v in g.samples.imag]
+            doc = result.grid.json_doc(doc["metadata"])
         if result.arrays:
             doc.update(result.arrays)
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    table = result.table if result.grid is None else result.grid.csv_table()
     buf = io.StringIO()
-    buf.write("# " + json.dumps({"config": echo, **result.report}, sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    if result.grid is not None:
-        g = result.grid
-        t = g.t
-        writer.writerow(["t", "re", "im"])
-        for k in range(g.samples.size):
-            writer.writerow(
-                [_FMT % t[k], _FMT % g.samples[k].real, _FMT % g.samples[k].imag]
-            )
-    else:
-        header, rows = result.table
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(buf, *table, {"config": echo, **result.report})
     return buf.getvalue()
 
 
@@ -336,27 +315,6 @@ def run(config):
         with open(config.output, "w", newline="") as fh:
             fh.write(text)
     return result.exit_code
-
-
-def _apply_thread_override():
-    raw = os.environ.get("CYLSPEC_THREADS")
-    if raw is None:
-        return None
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValidationError(
-            f"CYLSPEC_THREADS must be a positive integer, got {raw!r}"
-        )
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(count)
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return None
-    return threadpool_limits(limits=count)
 
 
 def _add_command(sub, name, help_text):
@@ -504,7 +462,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_override()
         return run(_resolve(args))
     except ValidationError as exc:
         _error_report(args, exc)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import (
     DecayHypothesisError,
@@ -36,9 +35,10 @@ from .errors import (
     QuadratureError,
     ValidationError,
 )
-from .grid import GridFunction
+from .grid import angular_frequencies, fftconvolve, multiply, tail_rate, trapezoid
+from .grid import trapezoid_weights
 from .indicial import find_roots
-from .symbol import theta
+from .symbol import theta, theta_shifted
 
 __all__ = [
     "GreensSeries",
@@ -211,9 +211,7 @@ def _difference_kernel(fun, h):
 def _convolve_on_grid(kernel, h):
     """Trapezoid discrete convolution, kernel on the doubled lattice."""
     n = h.n_points
-    wts = np.ones(n)
-    wts[0] = wts[-1] = 0.5
-    full = fftconvolve(kernel, h.samples * wts)
+    full = fftconvolve(kernel, h.samples * trapezoid_weights(n))
     return full[n - 1 : 2 * n - 1] * h.step
 
 
@@ -271,18 +269,6 @@ def solve_ode_system(greens, h, threshold=1e-10):
     return h.with_samples(acc.real + 0j)
 
 
-def _tail_rate(h):
-    """Decay rate of h at +infinity from a log-slope fit on the last quarter."""
-    n = h.n_points
-    t = h.t[-(n // 4) :]
-    mag = np.abs(h.samples[-(n // 4) :])
-    keep = mag > 1e-290
-    if keep.sum() < 8:
-        return math.inf  # numerically zero tail decays faster than anything
-    slope = np.polyfit(t[keep], np.log(mag[keep]), 1)[0]
-    return -slope
-
-
 def asymptotic_coefficients(roots, h, count=None):
     """Weighted moments giving the t -> +infinity amplitudes of G * h.
 
@@ -298,7 +284,7 @@ def asymptotic_coefficients(roots, h, count=None):
         return [
             0.0 if r.tau == 0.0 else (0.0, 0.0) for r in used
         ]
-    rate = _tail_rate(h)
+    rate = tail_rate(h.samples, h.t)
     sigma_max = max(r.sigma for r in used)
     if rate <= sigma_max:
         raise DecayHypothesisError(
@@ -306,19 +292,17 @@ def asymptotic_coefficients(roots, h, count=None):
             f"is e^(+{sigma_max:.3f} t); moments would diverge"
         )
     t = h.t
-    wts = np.ones(h.n_points)
-    wts[0] = wts[-1] = 0.5
     out = []
     for r in used:
         with np.errstate(divide="ignore"):
             grown = np.exp(r.sigma * t + np.log(h.samples.astype(complex)))
         grown = np.where(h.samples == 0.0, 0.0, grown)
         if r.tau == 0.0:
-            val = complex(np.sum(wts * grown) * h.step)
+            val = complex(trapezoid(grown, h.step))
             out.append(val.real if abs(val.imag) == 0.0 else val)
         else:
-            c1 = complex(np.sum(wts * np.cos(r.tau * t) * grown) * h.step)
-            c2 = complex(np.sum(wts * np.sin(r.tau * t) * grown) * h.step)
+            c1 = complex(trapezoid(np.cos(r.tau * t) * grown, h.step))
+            c2 = complex(trapezoid(np.sin(r.tau * t) * grown, h.step))
             if abs(c1.imag) == 0.0 and abs(c2.imag) == 0.0:
                 out.append((c1.real, c2.real))
             else:
@@ -363,13 +347,9 @@ def apply_symbol(params, mode, w, shifted=False):
     the window-decay invariant.  With ``shifted=True`` the subcritically
     shifted symbol is applied instead (complex-valued on the real axis).
     """
-    from .symbol import theta_shifted
-
-    n = w.n_points
-    xi = 2.0 * math.pi * np.fft.fftfreq(n, d=w.step)
+    xi = angular_frequencies(w.n_points, w.step)
     sym = theta_shifted(params, mode, xi) if shifted else theta(params, mode, xi)
-    spec = np.fft.fft(w.samples) * sym
-    out = np.fft.ifft(spec)
+    out = multiply(sym, w.samples)
     if np.max(np.abs(w.samples.imag)) == 0.0 and not shifted:
         out = out.real + 0j  # real symbol, real input
     return w.with_samples(out)

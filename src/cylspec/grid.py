@@ -5,26 +5,106 @@ Everything downstream works on functions sampled uniformly on
 invariant ``(t_max - t_min)/step + 1 == len(samples)``, and knows how to
 verify the window-decay hypothesis that convolution and spectral
 routines rely on.  Serialization is CSV (columns ``t,re,im``, 17
-significant digits, bit-exact for binary64 values) and JSON with a
-metadata block.
+significant digits, bit-exact for binary64 values, LF line ends) and
+JSON with a metadata block.  The lattice's numerics live here too, one
+routine each: Fourier multiplier, FFT convolution, trapezoid rule and
+tail decay-rate fit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
-from .errors import GridMismatchError, ValidationError, WindowError
+from .errors import DecayHypothesisError, GridMismatchError, ValidationError, WindowError
 
 __all__ = ["GridFunction", "DEFAULT_T_MAX", "DEFAULT_STEP"]
 
 DEFAULT_T_MAX = 30.0
 DEFAULT_STEP = 2.0**-7
 
-_FMT = "%.17g"
+FLOAT_FORMAT = "%.17g"  # round-trips binary64
+_CSV_HEADER = ("t", "re", "im")
+
+
+def angular_frequencies(n, step):
+    """Angular frequencies ``2 pi k / (n step)`` of an n-point lattice, in FFT order."""
+    return 2.0 * math.pi * np.fft.fftfreq(n, d=step)
+
+
+def multiply(values, v):
+    """Fourier multiplier ``ifft(fft(v) * values)`` on the periodized lattice.
+
+    ``values`` holds the symbol at :func:`angular_frequencies`; the
+    result is complex, and callers with real data take its real part.
+    """
+    return np.fft.ifft(np.fft.fft(v) * values)
+
+
+def _spectrum(x, m):
+    """``fft(x, m)``, a real ``x`` through ``rfft`` and Hermitian symmetry."""
+    if np.iscomplexobj(x):
+        return np.fft.fft(x, m)
+    half = np.fft.rfft(x, m)
+    return np.concatenate([half, np.conj(half[1 : m - half.size + 1][::-1])])
+
+
+def fftconvolve(a, b):
+    """Full linear convolution of two 1-d arrays at ``scipy.fft.next_fast_len``.
+
+    Same padding and transforms as ``scipy.signal.fftconvolve``: real
+    ones for two real inputs, complex ones otherwise.
+    """
+    n = a.size + b.size - 1
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        m = scipy.fft.next_fast_len(n)
+        return np.fft.ifft(_spectrum(a, m) * _spectrum(b, m))[:n]
+    m = scipy.fft.next_fast_len(n, real=True)
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
+
+
+def trapezoid_weights(n):
+    """Trapezoid weights ``(1/2, 1, ..., 1, 1/2)`` of an n-point lattice, step excluded."""
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    return w
+
+
+def trapezoid(values, step):
+    """Trapezoid integral of lattice samples, ``step * (sum - (first + last)/2)``."""
+    return step * (np.sum(values) - 0.5 * (values[0] + values[-1]))
+
+
+def tail_rate(samples, t):
+    """Decay rate at +infinity from a log-linear fit to the tail.
+
+    The tail is the samples right of the peak between 1e-13 and 1e-3 of
+    it.  With fewer than 8 of them the rate is ``inf`` if the last
+    sample is below 1e-13 of the peak (a numerically zero tail).
+    """
+    mag = np.abs(samples)
+    top = int(np.argmax(mag))
+    rel = mag / mag[top]
+    sel = (np.arange(mag.size) > top) & (rel < 1e-3) & (rel > 1e-13)
+    if np.count_nonzero(sel) < 8:
+        if rel[-1] < 1e-13:
+            return math.inf
+        raise DecayHypothesisError("too few tail samples to measure a decay rate")
+    return -np.polyfit(t[sel], np.log(mag[sel]), 1)[0]
+
+
+def write_csv(fh, header, rows, metadata=None):
+    """Write a CSV table with LF ends, after a ``# {json}`` line if metadata is given."""
+    if metadata is not None:
+        fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -105,9 +185,7 @@ class GridFunction:
 
     def trapz(self):
         """Trapezoid integral over the window."""
-        w = np.ones(self.samples.size)
-        w[0] = w[-1] = 0.5
-        return complex(np.sum(w * self.samples) * self.step)
+        return complex(trapezoid(self.samples, self.step))
 
     # -- arithmetic on a shared lattice ------------------------------------
 
@@ -126,17 +204,15 @@ class GridFunction:
 
     # -- serialization ------------------------------------------------------
 
+    def csv_table(self):
+        """Header ``t,re,im`` and one row per sample, at 17 significant digits."""
+        f = FLOAT_FORMAT
+        rows = ((f % t, f % v.real, f % v.imag) for t, v in zip(self.t, self.samples))
+        return _CSV_HEADER, rows
+
     def to_csv(self, path, metadata=None):
-        t = self.t
         with open(path, "w", newline="") as fh:
-            if metadata is not None:
-                fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "re", "im"])
-            for k in range(self.samples.size):
-                writer.writerow(
-                    [_FMT % t[k], _FMT % self.samples[k].real, _FMT % self.samples[k].imag]
-                )
+            write_csv(fh, *self.csv_table(), metadata)
 
     @classmethod
     def from_csv(cls, path):
@@ -149,7 +225,7 @@ class GridFunction:
                     continue
                 header = row
                 break
-            if header != ["t", "re", "im"]:
+            if header != list(_CSV_HEADER):
                 raise ValidationError(f"expected header t,re,im, got {header}")
             t = []
             vals = []
@@ -161,15 +237,18 @@ class GridFunction:
         step = (t[-1] - t[0]) / (len(t) - 1)
         return cls(t_min=t[0], t_max=t[-1], step=step, samples=np.array(vals))
 
-    def to_json(self, path, metadata=None):
-        payload = {
+    def json_doc(self, metadata):
+        """The JSON form: lattice, metadata, real and imaginary parts."""
+        return {
             "grid": {"t_min": self.t_min, "t_max": self.t_max, "step": self.step},
-            "metadata": metadata or {},
+            "metadata": metadata,
             "re": [float(v) for v in self.samples.real],
             "im": [float(v) for v in self.samples.imag],
         }
+
+    def to_json(self, path, metadata=None):
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            json.dump(self.json_doc(metadata or {}), fh)
 
     @classmethod
     def from_json(cls, path):

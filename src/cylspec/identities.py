@@ -10,14 +10,13 @@ forces to agree after scaling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DecayHypothesisError, ValidationError
 from .greens import GreensSeries, build_greens, component_solutions
-from .grid import GridFunction
+from .grid import GridFunction, tail_rate, trapezoid
 from .symbol import CylinderParams, theta
 
 __all__ = ["PohozaevReport", "pohozaev_check", "wronskian", "wronskian_defect"]
@@ -36,10 +35,6 @@ def _centered_derivative(samples, step):
     out[0] = (samples[1] - samples[0]) / step
     out[-1] = (samples[-1] - samples[-2]) / step
     return out
-
-
-def _trapz(values, step):
-    return step * (np.sum(values) - 0.5 * (values[0] + values[-1]))
 
 
 def _gammas_lambdas(series):
@@ -164,23 +159,6 @@ def _axis_inverse_derivatives(params):
     return q0, q2, q4
 
 
-def _tail_rate(samples, t, floor):
-    # The tail is where the profile, right of its peak, has fallen below
-    # 1e-3 of the peak but not yet to round-off; selecting it by
-    # magnitude keeps fast-decaying profiles measurable.
-    mag = np.abs(samples)
-    top = int(np.argmax(mag))
-    rel = mag / mag[top]
-    sel = (np.arange(mag.size) > top) & (rel < 1e-3) & (rel > 1e-13)
-    if np.count_nonzero(sel) < 8:
-        raise DecayHypothesisError("too few tail samples to measure a decay rate")
-    slope = -np.polyfit(t[sel], np.log(mag[sel]), 1)[0]
-    if slope < floor:
-        raise DecayHypothesisError(
-            f"measured tail rate {slope:.4f} below the required {floor:.4f}"
-        )
-
-
 def pohozaev_check(
     params: CylinderParams,
     solution: GridFunction,
@@ -204,7 +182,12 @@ def pohozaev_check(
     solution.require_decay(1e-6)
 
     series = build_greens(params, mode=0, truncation=truncation)
-    _tail_rate(w, solution.t, _TAIL_RATE_FRACTION * series.roots[0].sigma)
+    rate = tail_rate(w, solution.t)
+    floor = _TAIL_RATE_FRACTION * series.roots[0].sigma
+    if rate < floor:
+        raise DecayHypothesisError(
+            f"measured tail rate {rate:.4f} below the required {floor:.4f}"
+        )
     gammas, lambdas = _gammas_lambdas(series)
 
     p = params.p
@@ -218,8 +201,8 @@ def pohozaev_check(
     for g, lam, comp in zip(gammas, lambdas, comps):
         vals = comp.samples
         dvals = _centered_derivative(vals, step)
-        grad_sum += (g / lam) * _trapz(dvals * dvals, step)
-        mass_sum += (g * lam) * _trapz(vals * vals, step)
+        grad_sum += (g / lam) * trapezoid(dvals * dvals, step)
+        mass_sum += (g * lam) * trapezoid(vals * vals, step)
         part1 += (g / lam).real
         part3 += (g / lam**3).real
         part5 += (g / lam**5).real
@@ -232,13 +215,13 @@ def pohozaev_check(
     hs = h.samples.real
     dh = _centered_derivative(hs, step)
     ddh = _centered_derivative(dh, step)
-    norm_h = _trapz(hs * hs, step)
-    norm_dh = _trapz(dh * dh, step)
-    norm_ddh = _trapz(ddh * ddh, step)
+    norm_h = trapezoid(hs * hs, step)
+    norm_dh = trapezoid(dh * dh, step)
+    norm_ddh = trapezoid(ddh * ddh, step)
 
     grad = grad_sum.real + 4.0 * norm_dh * s3 - 8.0 * norm_ddh * s5
     mass = mass_sum.real + 4.0 * norm_h * s1 - 8.0 * norm_dh * s3
-    rhs = float(_trapz(np.abs(w) ** (p + 1.0), step))
+    rhs = float(trapezoid(np.abs(w) ** (p + 1.0), step))
 
     triple = (
         grad / (2.0 * params.gamma),

@@ -11,14 +11,13 @@ out of the linearization's way.
 from __future__ import annotations
 
 import inspect
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import DivergenceError, NegativityError, ValidationError
-from .grid import GridFunction
+from .grid import GridFunction, angular_frequencies, multiply
 from .symbol import CylinderParams, theta
 
 __all__ = ["SolveReport", "solve_profile"]
@@ -99,11 +98,11 @@ def solve_profile(
 
     p = params.p
     n = w.size
-    xi = 2.0 * math.pi * np.fft.fftfreq(n, d=initial_guess.step)
+    xi = angular_frequencies(n, initial_guess.step)
     sym_vals = theta(params, 0, xi).real - params.kappa
 
     def residual(v):
-        return np.fft.ifft(sym_vals * np.fft.fft(v)).real - _odd_power(v, p)
+        return multiply(sym_vals, v).real - _odd_power(v, p)
 
     r = residual(w)
     rnorm = float(np.max(np.abs(r)))
@@ -118,10 +117,10 @@ def solve_profile(
         pre_vals = 1.0 / (sym_vals + shift)
 
         def matvec(v):
-            return np.fft.ifft(sym_vals * np.fft.fft(v)).real - pot * v
+            return multiply(sym_vals, v).real - pot * v
 
         def precond(v):
-            return np.fft.ifft(pre_vals * np.fft.fft(v)).real
+            return multiply(pre_vals, v).real
 
         op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
         pre = LinearOperator((n, n), matvec=precond, dtype=np.float64)

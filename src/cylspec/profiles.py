@@ -17,8 +17,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DomainError, NoFitError, ValidationError, WindowError
-from .grid import GridFunction
-from .indicial import IndicialRoot
+from .grid import GridFunction, angular_frequencies, multiply
 from .specfun import hyp2f1, log_gamma
 from .symbol import CylinderParams, theta
 
@@ -82,9 +81,8 @@ def _tail_padded_multiplier(params, samples, step, rate):
     right = samples[-1] * np.exp(-rate * t_pad)
     left = (samples[0] * np.exp(-rate * t_pad))[::-1]
     ext = np.concatenate([left, samples, right])
-    xi = 2.0 * math.pi * np.fft.fftfreq(ext.size, d=step)
-    out = np.fft.ifft(theta(params, 0, xi) * np.fft.fft(ext)).real
-    return out[n : 2 * n]
+    sym = theta(params, 0, angular_frequencies(ext.size, step))
+    return multiply(sym, ext).real[n : 2 * n]
 
 
 def bubble_residual(params: CylinderParams, profile: GridFunction) -> float:
@@ -102,8 +100,8 @@ def bubble_residual(params: CylinderParams, profile: GridFunction) -> float:
         return 0.0
     spread = float(np.max(w) - np.min(w))
     if spread <= _CONSTANT_SPREAD * peak:
-        xi = 2.0 * math.pi * np.fft.fftfreq(w.size, d=profile.step)
-        applied = np.fft.ifft(theta(params, 0, xi) * np.fft.fft(w)).real
+        sym = theta(params, 0, angular_frequencies(w.size, profile.step))
+        applied = multiply(sym, w).real
     else:
         edge = max(abs(w[0]), abs(w[-1])) / peak
         if edge > DECAY_MARGIN_MAX:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cylspec
+from cylspec import cli
 from cylspec.cli import main
 from cylspec.greens import build_greens, solve_convolution
 from cylspec.grid import GridFunction
@@ -312,21 +313,28 @@ def test_validation_exit_codes(capsys):
     assert info.value.code == 2
 
 
-def test_thread_override(monkeypatch, capsys):
-    # The override writes all three variables; setting each through
-    # monkeypatch first restores them afterwards, so none leaks into later
-    # tests. (delenv records nothing for a variable that is unset.)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "8")
-    monkeypatch.setenv("CYLSPEC_THREADS", "2")
-    code, _ = _run(capsys, ["symbol", "--n", "3", "--gamma", "0.5"])
-    assert code == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+def test_grid_csv_matches_cli_body(tmp_path):
+    # GridFunction.to_csv and the CLI write one CSV layout with LF ends.
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+    g = GridFunction(t_min=-1.0, t_max=1.0, step=2.0**-5, samples=vals)
+    path = tmp_path / "g.csv"
+    g.to_csv(path, metadata={"kind": "test"})
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    args = cli._build_parser().parse_args(
+        ["greens", "--n", "3", "--gamma", "0.5", "--format", "csv"]
+    )
+    text = cli._render(cli._resolve(args), cli.JobResult(grid=g))
+    assert raw.decode().split("\n", 1)[1] == text.split("\n", 1)[1]
+    assert raw.decode().split("\n", 2)[1] == "t,re,im"
 
-    monkeypatch.setenv("CYLSPEC_THREADS", "-3")
-    code, out = _run(capsys, ["symbol", "--n", "3", "--gamma", "0.5"])
-    assert code == 2
-    assert json.loads(out)["error"] == "ValidationError"
+
+def test_import_leaves_scipy_signal_unloaded():
+    code = "import sys, cylspec; assert 'scipy.signal' not in sys.modules"
+    _, env = _entry_point()
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _entry_point():

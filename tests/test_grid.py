@@ -1,10 +1,18 @@
 """Grid container: lattice invariants, decay checks, round-trips."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve as scipy_fftconvolve
 
-from cylspec.errors import GridMismatchError, ValidationError, WindowError
-from cylspec.grid import GridFunction
+from cylspec.errors import (
+    DecayHypothesisError,
+    GridMismatchError,
+    ValidationError,
+    WindowError,
+)
+from cylspec.grid import GridFunction, fftconvolve, tail_rate, trapezoid_weights
 
 
 def _gaussian(t_max=10.0, step=0.125):
@@ -76,3 +84,27 @@ def test_json_round_trip_with_metadata(tmp_path):
     assert back.same_grid(g)
     assert np.array_equal(back.samples, g.samples)
     assert meta == {"kind": "test", "kappa": 0.3}
+
+
+@pytest.mark.parametrize("n", [7, 481, 7681])
+def test_fftconvolve_matches_scipy_signal_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(2 * n - 1)
+    b = rng.standard_normal(n)
+    assert fftconvolve(a, b).dtype == np.float64
+    assert np.array_equal(fftconvolve(a, b), scipy_fftconvolve(a, b))
+    ac = a + 1j * rng.standard_normal(a.size)
+    bc = b * trapezoid_weights(n) + 0j  # complex samples, as solve_convolution has
+    for x, y in ((ac, bc), (ac, b), (a, bc)):
+        assert np.array_equal(fftconvolve(x, y), scipy_fftconvolve(x, y))
+
+
+def test_tail_rate():
+    t = np.linspace(-30.0, 30.0, 7681)
+    assert abs(tail_rate(np.exp(-2.0 * np.abs(t)) + 0j, t) - 2.0) < 1e-9
+    # A tail that drops through the band in under 8 samples is numerically zero.
+    coarse = np.linspace(-30.0, 30.0, 61)
+    assert tail_rate(np.exp(-coarse * coarse), coarse) == math.inf
+    # A tail that never falls to 1e-3 of the peak cannot be measured.
+    with pytest.raises(DecayHypothesisError):
+        tail_rate(np.exp(-0.1 * np.abs(t)), t)
