@@ -209,9 +209,14 @@ def _difference_kernel(fun, h):
 
 
 def _convolve_on_grid(kernel, h):
-    """Trapezoid discrete convolution, kernel on the doubled lattice."""
+    """Trapezoid discrete convolution, kernel on the doubled lattice.
+
+    A source with zero imaginary part is passed as real, so a real
+    kernel convolves by real transforms.
+    """
     n = h.n_points
-    full = fftconvolve(kernel, h.samples * trapezoid_weights(n))
+    src = h.samples if h.samples.imag.any() else h.samples.real
+    full = fftconvolve(kernel, src * trapezoid_weights(n))
     return full[n - 1 : 2 * n - 1] * h.step
 
 

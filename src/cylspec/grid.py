@@ -8,7 +8,10 @@ routines rely on.  Serialization is CSV (columns ``t,re,im``, 17
 significant digits, bit-exact for binary64 values, LF line ends) and
 JSON with a metadata block.  The lattice's numerics live here too, one
 routine each: Fourier multiplier, FFT convolution, trapezoid rule and
-tail decay-rate fit.
+tail decay-rate fit.  The multiplier has two forms: :func:`multiply`,
+exact, for residuals and anything whose tails are read, and
+:func:`real_circulant`, the same operator at a fast length but with
+absolute round-off, for Krylov products only.
 """
 
 from __future__ import annotations
@@ -42,8 +45,35 @@ def multiply(values, v):
 
     ``values`` holds the symbol at :func:`angular_frequencies`; the
     result is complex, and callers with real data take its real part.
+    This is the exact product that residuals use.
     """
     return np.fft.ifft(np.fft.fft(v) * values)
+
+
+def real_circulant(values):
+    """The map ``v -> multiply(values, v).real`` for real ``v``, at a fast length.
+
+    The same circulant on the same lattice: its kernel ``ifft(values).real``
+    (one transform of the lattice's length) is laid out on the lags
+    ``-(n-1) .. n-1`` and its ``rfft`` cached at
+    ``next_fast_len(2n - 1, real=True)``, so each apply is one ``rfft``
+    and one ``irfft`` at a 5-smooth length even when ``n`` is prime.
+    Its round-off comes from the kernel, about ``eps * max|values|`` at
+    every lag, and reaches the low frequencies; in a residual it shows
+    as noise in a decaying tail, so it is for Krylov products only.
+    """
+    n = values.size
+    m = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    kernel = np.fft.ifft(values).real
+    lags = np.zeros(m)
+    lags[:n] = kernel
+    lags[m - n + 1 :] = kernel[1:]  # lag -k sits at m - k
+    spectrum = np.fft.rfft(lags)
+
+    def apply(v):
+        return np.fft.irfft(np.fft.rfft(v, m) * spectrum, m)[:n]
+
+    return apply
 
 
 def _spectrum(x, m):

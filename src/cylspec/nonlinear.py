@@ -6,6 +6,14 @@ each Newton linearization is solved by preconditioned GMRES with the
 free symbol as preconditioner.  Parity of an even initial guess is
 enforced on every iterate, which also keeps the translation direction
 out of the linearization's way.
+
+The Newton residual, which defines the solution and its tail, uses the
+exact multiplier :func:`grid.multiply`.  The GMRES products (the
+linearization and the preconditioner) only steer the step, so they use
+:func:`grid.real_circulant`, the same circulant at a fast transform
+length.  Its round-off, about ``eps * max|symbol|`` in the kernel and
+reaching the low frequencies, is harmless in a Krylov product, but in
+the residual it would leave noise in the decaying tails.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import DivergenceError, NegativityError, ValidationError
-from .grid import GridFunction, angular_frequencies, multiply
+from .grid import GridFunction, angular_frequencies, multiply, real_circulant
 from .symbol import CylinderParams, theta
 
 __all__ = ["SolveReport", "solve_profile"]
@@ -25,6 +33,11 @@ __all__ = ["SolveReport", "solve_profile"]
 MAX_ITERATIONS = 50
 MAX_HALVINGS = 6
 NEGATIVITY_RETRIES = 2
+# GMRES stops at an absolute residual of this fraction of the Newton
+# tolerance: a relative 1e-10 on a right-hand side already near the
+# tolerance asks for less than one product's round-off and never ends.
+# The 2-norm bounds the sup norm, so the step still lands below tolerance.
+GMRES_FLOOR = 0.1
 
 # scipy renamed gmres's stopping keyword; resolve once
 _GMRES_TOL_KW = (
@@ -67,7 +80,8 @@ def solve_profile(
     norm.  Steps that fail to decrease the residual are halved up to
     MAX_HALVINGS times before DivergenceError; steps that push the
     iterate significantly negative are halved up to NEGATIVITY_RETRIES
-    times before NegativityError.  A guess that is identically zero (or
+    times before NegativityError.  A GMRES solve that returns a nonzero
+    flag raises DivergenceError.  A guess that is identically zero (or
     an iterate collapsing to zero) converges with the trivial flag set.
     """
     if not 0.0 <= params.kappa < params.lam:
@@ -100,6 +114,8 @@ def solve_profile(
     n = w.size
     xi = angular_frequencies(n, initial_guess.step)
     sym_vals = theta(params, 0, xi).real - params.kappa
+    sym_op = real_circulant(sym_vals)
+    gmres_atol = GMRES_FLOOR * tolerance
 
     def residual(v):
         return multiply(sym_vals, v).real - _odd_power(v, p)
@@ -114,19 +130,23 @@ def solve_profile(
             )
         pot = p * np.abs(w) ** (p - 1.0)
         shift = 1.0 + float(np.max(pot))
-        pre_vals = 1.0 / (sym_vals + shift)
 
         def matvec(v):
-            return multiply(sym_vals, v).real - pot * v
-
-        def precond(v):
-            return multiply(pre_vals, v).real
+            return sym_op(v) - pot * v
 
         op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-        pre = LinearOperator((n, n), matvec=precond, dtype=np.float64)
-        delta, _ = gmres(
-            op, r, M=pre, restart=60, maxiter=300, atol=0.0, **{_GMRES_TOL_KW: 1e-10}
+        pre = LinearOperator(
+            (n, n), matvec=real_circulant(1.0 / (sym_vals + shift)), dtype=np.float64
         )
+        delta, info = gmres(
+            op, r, M=pre, restart=60, maxiter=300, atol=gmres_atol,
+            **{_GMRES_TOL_KW: 1e-10},
+        )
+        if info != 0:
+            raise DivergenceError(
+                f"GMRES returned info = {info} at Newton step {iterations + 1}, "
+                f"right-hand side sup norm {rnorm:.3e}"
+            )
 
         alpha, accepted, neg_left = 1.0, False, NEGATIVITY_RETRIES
         for _ in range(MAX_HALVINGS + 1):

@@ -12,7 +12,16 @@ from cylspec.errors import (
     ValidationError,
     WindowError,
 )
-from cylspec.grid import GridFunction, fftconvolve, tail_rate, trapezoid_weights
+from cylspec.grid import (
+    GridFunction,
+    angular_frequencies,
+    fftconvolve,
+    multiply,
+    real_circulant,
+    tail_rate,
+    trapezoid_weights,
+)
+from cylspec.symbol import CylinderParams, theta
 
 
 def _gaussian(t_max=10.0, step=0.125):
@@ -97,6 +106,18 @@ def test_fftconvolve_matches_scipy_signal_bit_for_bit(n):
     bc = b * trapezoid_weights(n) + 0j  # complex samples, as solve_convolution has
     for x, y in ((ac, bc), (ac, b), (a, bc)):
         assert np.array_equal(fftconvolve(x, y), scipy_fftconvolve(x, y))
+
+
+@pytest.mark.parametrize("n", [7, 481, 7680, 7681])
+def test_real_circulant_matches_multiply(n):
+    rng = np.random.default_rng(n)
+    symbol = theta(CylinderParams(n=4, gamma=0.75), 0, angular_frequencies(n, 2.0**-7))
+    v = rng.standard_normal(n)
+    for values in (symbol.real, rng.standard_normal(n)):
+        fast = real_circulant(values)(v)
+        exact = multiply(values, v).real
+        scale = np.finfo(float).eps * np.max(np.abs(values)) * np.max(np.abs(v))
+        assert np.max(np.abs(fast - exact)) <= 8.0 * scale
 
 
 def test_tail_rate():

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import cylspec.nonlinear
 from cylspec.errors import DivergenceError, NegativityError, ValidationError
 from cylspec.grid import GridFunction
+from cylspec.identities import pohozaev_check
 from cylspec.nonlinear import solve_profile
 from cylspec.profiles import bubble, frobenius_fit
 from cylspec.symbol import CylinderParams
@@ -101,3 +103,57 @@ def test_report_metadata_roundtrip():
     meta = report.as_metadata()
     assert meta["converged"] is True and meta["trivial"] is False
     assert meta["iterations"] == report.iterations
+
+
+def test_gmres_flag_is_raised(monkeypatch):
+    def failing_gmres(op, b, **kwargs):
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(cylspec.nonlinear, "gmres", failing_gmres)
+    params = CylinderParams(n=3, gamma=0.5)
+    with pytest.raises(DivergenceError, match="info = 1 at Newton step 1"):
+        solve_profile(params, _grid(lambda t: 1.1 / np.cosh(t)))
+
+
+@pytest.fixture(scope="module")
+def stall_guess_solve():
+    """(4, 0.75, 0) from a guess whose last GMRES call once ran all restarts.
+
+    Returns the report and the GMRES flag of every Newton step.
+    """
+    params = CylinderParams(n=4, gamma=0.75)
+    c = params.lam ** (1.0 / (params.p - 1.0))
+    guess = _grid(
+        lambda t: c
+        * bubble(params, t)
+        * (1.0 + 0.05 * np.cos(0.5 * t) * np.exp(-t * t / 18.0))
+    )
+    flags = []
+    real_gmres = cylspec.nonlinear.gmres
+
+    def spy(*args, **kwargs):
+        delta, info = real_gmres(*args, **kwargs)
+        flags.append(info)
+        return delta, info
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cylspec.nonlinear, "gmres", spy)
+        report = solve_profile(params, guess)
+    return params, report, flags
+
+
+def test_gmres_floor_ends_the_stall(stall_guess_solve):
+    _, report, flags = stall_guess_solve
+    assert report.converged and report.residual_norm <= 1e-10
+    assert report.iterations == 4
+    assert flags == [0, 0, 0, 0]
+
+
+def test_solved_tail_is_clean(stall_guess_solve):
+    # Round-off in the residual's product would sit in the tail, where
+    # the energy identity measures the decay rate and the fit reads sigma.
+    params, report, _ = stall_guess_solve
+    assert pohozaev_check(params, report.solution).relative_spread <= 1e-3
+    fit = frobenius_fit(report.solution)
+    sigma0 = 0.5 * params.n - params.gamma
+    assert abs(fit.sigma - sigma0) < 0.01 * sigma0
