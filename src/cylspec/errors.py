@@ -22,10 +22,6 @@ class PoleError(CylspecError):
     """Evaluation requested at (or within snapping distance of) a pole."""
 
 
-class ConvergenceError(CylspecError):
-    """An iterative evaluation did not converge within its budget."""
-
-
 class NoRootError(CylspecError):
     """A bracketed or requested root does not exist in the search range."""
 

@@ -84,18 +84,27 @@ def _spectrum(x, m):
     return np.concatenate([half, np.conj(half[1 : m - half.size + 1][::-1])])
 
 
-def fftconvolve(a, b):
+def fftconvolve(a, b, b_spectra=None):
     """Full linear convolution of two 1-d arrays at ``scipy.fft.next_fast_len``.
 
     Same padding and transforms as ``scipy.signal.fftconvolve``: real
-    ones for two real inputs, complex ones otherwise.
+    ones for two real inputs, complex ones otherwise.  ``b_spectra``, a
+    dict passed again with the same ``b``, keeps b's transforms between
+    calls.
     """
     n = a.size + b.size - 1
+    spectra = {} if b_spectra is None else b_spectra
+
+    def of_b(transform, m):
+        if (transform, m) not in spectra:
+            spectra[transform, m] = transform(b, m)
+        return spectra[transform, m]
+
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         m = scipy.fft.next_fast_len(n)
-        return np.fft.ifft(_spectrum(a, m) * _spectrum(b, m))[:n]
+        return np.fft.ifft(_spectrum(a, m) * of_b(_spectrum, m))[:n]
     m = scipy.fft.next_fast_len(n, real=True)
-    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
+    return np.fft.irfft(np.fft.rfft(a, m) * of_b(np.fft.rfft, m), m)[:n]
 
 
 def trapezoid_weights(n):

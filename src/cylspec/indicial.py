@@ -13,10 +13,19 @@ exactly one crossing of any positive level.  Above the Hardy constant
 the first root leaves the axis through the origin and reappears as a
 real pair.  Every reported configuration is certified afterwards by an
 argument-principle winding count on a rectangle enclosing it.
+
+One array solver finds all roots of a call together: it brackets each
+root, bisects every bracket down to adjacent floats, then polishes by
+Newton, and each step is one vectorized symbol evaluation on the roots
+still moving.  Each root takes the same steps as a search of its own,
+so the roots do not depend on how many are requested.  That makes the
+certified result reusable: :func:`find_roots` keeps the last 64
+``(params, mode)`` results and answers a smaller count from the prefix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +40,7 @@ from .errors import (
     ThresholdError,
     ValidationError,
 )
-from .symbol import mode_constants, theta, theta_derivative
+from .symbol import ModeIndex, mode_constants, theta, theta_derivative
 
 __all__ = [
     "IndicialRoot",
@@ -45,6 +54,10 @@ ROOT_RESIDUAL_TOL = 1e-8
 DEGENERATE_TOL = 1e-10
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXIT = 50
+_BISECT_MAXIT = 100
+_TRIES = 200  # bracket attempts per end
+_AXIS = 1j  # roots z = i sigma
+_REAL = 1.0 + 0j  # the real pair z = +-tau
 
 
 @dataclass(frozen=True)
@@ -73,129 +86,108 @@ class IndicialRoot:
         return complex(self.sigma, self.tau)
 
 
-def _axis_value(params, mode, sigma):
-    """Symbol restricted to the imaginary axis; exactly real."""
-    return complex(theta(params, mode, 1j * sigma)).real
+def _values(params, mode, along, x):
+    """``Theta_m(along * x)``, exactly real on both axes (``along`` 1j or 1)."""
+    return np.asarray(theta(params, mode, along * x)).real
 
 
-def _axis_slope(params, mode, sigma):
-    return complex(1j * theta_derivative(params, mode, 1j * sigma)).real
+def _slopes(params, mode, along, x):
+    """Derivative of ``x -> Theta_m(along * x)``."""
+    return (along * np.asarray(theta_derivative(params, mode, along * x))).real
 
 
-def _real_value(params, mode, xi):
-    return complex(theta(params, mode, complex(xi))).real
+def _window(a, b, j):
+    """Root spec for window j: (lo_pole, hi_zero) with ends inset by halving."""
+    lo_pole = 2.0 * a + 2.0 * (j - 1)
+    hi_zero = 2.0 * b + 2.0 * j
+    inset = 1e-3 * (hi_zero - lo_pole)
+    return _AXIS, (lo_pole, inset, 0.5, _TRIES), (hi_zero, -inset, 0.5, _TRIES)
 
 
-def _real_slope(params, mode, xi):
-    return complex(theta_derivative(params, mode, complex(xi))).real
+def _first_axis(b):
+    """Root spec in (0, 2 B_m), present exactly when 0 < kappa < Theta_m(0).
 
-
-def _bisect(fun, lo, hi, flo):
-    """Sign-change bisection; ``flo`` is the already-known sign at ``lo``."""
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (fun(mid) > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _polish(value, slope, x, kappa, lo, hi):
-    """Newton with bracket fallback; the bisection seed is already close."""
-    for _ in range(_NEWTON_MAXIT):
-        r = value(x) - kappa
-        d = slope(x)
-        if d == 0.0:
-            break
-        step = r / d
-        nxt = x - step
-        if not lo < nxt < hi:
-            break
-        x = nxt
-        if abs(step) <= _NEWTON_TOL * max(1.0, abs(x)):
-            break
-    return x
-
-
-def _window_root(params, mode, kappa, lo_pole, hi_zero):
-    """Root of the axis symbol in the open window (lo_pole, hi_zero).
-
-    The symbol falls from +infinity at the pole end to 0 at the zero
-    end, so any level ``kappa > 0`` is crossed.  Endpoint insets shrink
-    until the bracket signs are established.
+    The zero end tries 2 B_m - 1e-8 and halves the gap down to 1e-13
+    (17 tries), for levels barely above the axis zero.
     """
-    inset = 1e-3 * (hi_zero - lo_pole)
-    lo = lo_pole + inset
-    for _ in range(200):
-        if _axis_value(params, mode, lo) > kappa:
+    return _AXIS, (0.0, 1e-8, 1.0, 1), (2.0 * b, -1e-8, 0.5, 17)
+
+
+# Positive real root, present when kappa > Theta_m(0): the symbol grows
+# along the real axis, so the far end doubles from 1 until it passes kappa.
+_REAL_PAIR = (_REAL, (0.0, 1e-10, 1.0, 1), (0.0, 1.0, 2.0, _TRIES))
+
+
+def _solve(params, mode, kappa, specs):
+    """Roots of ``Theta_m(along * x) = kappa``, one per spec, all at once.
+
+    A spec is ``(along, lo_end, hi_end)`` and an end is ``(anchor, inset,
+    factor, tries)``: the end tries ``anchor + inset``, scaling ``inset``
+    by ``factor`` after each miss, until ``Theta - kappa`` takes the sign
+    that end needs, and raises :class:`NoRootError` after ``tries``
+    misses.  On the imaginary axis the symbol falls across each bracket,
+    on the real axis it rises.  Then sign-change bisection down to
+    adjacent floats, then Newton with bracket fallback inside
+    ``(lo anchor, hi anchor)``, or ``(0, 2 hi)`` on the real axis.  Each
+    step evaluates the symbol once on the roots still moving; every root
+    makes the decisions a scalar search of its own would.
+    """
+    along = np.array([s[0] for s in specs])
+    ends = np.array([s[1] for s in specs] + [s[2] for s in specs]).T
+    anchor, inset, factor, tries = ends
+    k = len(specs)
+    rising = along.real > 0.0
+    want = np.concatenate([np.where(rising, -1.0, 1.0), np.where(rising, 1.0, -1.0)])
+    both = np.concatenate([along, along])
+
+    point = anchor + inset
+    misses = np.zeros(2 * k)
+    todo = np.arange(2 * k)
+    while todo.size:
+        ok = want[todo] * (_values(params, mode, both[todo], point[todo]) - kappa) > 0.0
+        todo = todo[~ok]
+        misses[todo] += 1.0
+        spent = todo[misses[todo] >= tries[todo]]
+        if spent.size:
+            i = spent[0]
+            raise NoRootError(
+                f"no bracket for root {i % k}: Theta_m - kappa keeps its sign "
+                f"through z = {complex(both[i] * point[i])} after {int(tries[i])} tries"
+            )
+        inset[todo] *= factor[todo]
+        point[todo] = anchor[todo] + inset[todo]
+    lo, hi = point[:k], point[k:]
+    lower = anchor[:k]
+    upper = np.where(rising, 2.0 * hi, anchor[k:])
+
+    lo_above = ~rising  # sign of Theta - kappa at the lo end
+    todo = np.arange(k)
+    for _ in range(_BISECT_MAXIT):
+        mid = 0.5 * (lo[todo] + hi[todo])
+        moving = (mid != lo[todo]) & (mid != hi[todo])
+        todo, mid = todo[moving], mid[moving]
+        if not todo.size:
             break
-        inset *= 0.5
-        lo = lo_pole + inset
-    else:
-        raise NoRootError(f"no bracket at the pole end of ({lo_pole}, {hi_zero})")
-    inset = 1e-3 * (hi_zero - lo_pole)
-    hi = hi_zero - inset
-    for _ in range(200):
-        if _axis_value(params, mode, hi) < kappa:
+        above = _values(params, mode, along[todo], mid) - kappa > 0.0
+        same = above == lo_above[todo]
+        lo[todo[same]] = mid[same]
+        hi[todo[~same]] = mid[~same]
+    x = 0.5 * (lo + hi)
+
+    todo = np.arange(k)
+    for _ in range(_NEWTON_MAXIT):
+        if not todo.size:
             break
-        inset *= 0.5
-        hi = hi_zero - inset
-    else:
-        raise NoRootError(f"no bracket at the zero end of ({lo_pole}, {hi_zero})")
-
-    fun = lambda s: _axis_value(params, mode, s) - kappa
-    x = _bisect(fun, lo, hi, fun(lo))
-    return _polish(
-        lambda s: _axis_value(params, mode, s),
-        lambda s: _axis_slope(params, mode, s),
-        x,
-        kappa,
-        lo_pole,
-        hi_zero,
-    )
-
-
-def _first_axis_root(params, mode, kappa, b):
-    """Root in (0, 2 B_m), present exactly when 0 < kappa < Theta_m(0)."""
-    fun = lambda s: _axis_value(params, mode, s) - kappa
-    lo, hi = 1e-8, 2.0 * b - 1e-8
-    while fun(hi) > 0.0:
-        hi = 0.5 * (hi + 2.0 * b)  # level barely below the axis zero
-        if 2.0 * b - hi < 1e-13:
-            raise NoRootError("no bracket below the first axis zero")
-    x = _bisect(fun, lo, hi, fun(lo))
-    return _polish(
-        lambda s: _axis_value(params, mode, s),
-        lambda s: _axis_slope(params, mode, s),
-        x,
-        kappa,
-        0.0,
-        2.0 * b,
-    )
-
-
-def _real_axis_root(params, mode, kappa):
-    """Positive real root of Theta_m, present when kappa > Theta_m(0)."""
-    fun = lambda x: _real_value(params, mode, x) - kappa
-    hi = 1.0
-    for _ in range(200):
-        if fun(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NoRootError("symbol growth bracket failed on the real axis")
-    x = _bisect(fun, 1e-10, hi, fun(1e-10))
-    return _polish(
-        lambda s: _real_value(params, mode, s),
-        lambda s: _real_slope(params, mode, s),
-        x,
-        kappa,
-        0.0,
-        2.0 * hi,
-    )
+        r = _values(params, mode, along[todo], x[todo]) - kappa
+        d = _slopes(params, mode, along[todo], x[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = r / d
+        nxt = x[todo] - step
+        inside = (d != 0.0) & (lower[todo] < nxt) & (nxt < upper[todo])
+        todo, step, nxt = todo[inside], step[inside], nxt[inside]
+        x[todo] = nxt
+        todo = todo[np.abs(step) > _NEWTON_TOL * np.maximum(1.0, np.abs(nxt))]
+    return x
 
 
 def _winding(params, mode, kappa, corners, max_points=400_000):
@@ -205,12 +197,8 @@ def _winding(params, mode, kappa, corners, max_points=400_000):
     adaptive sampling: midpoints are inserted until every step turns by
     less than 1.2 rad, which keeps the unwrapping unambiguous.
     """
-    segs = []
-    for k in range(len(corners)):
-        a, b = corners[k], corners[(k + 1) % len(corners)]
-        tt = np.linspace(0.0, 1.0, 64, endpoint=False)
-        segs.append(a + (b - a) * tt)
-    z = np.concatenate(segs)
+    tt = np.linspace(0.0, 1.0, 64, endpoint=False)
+    z = np.concatenate([a + (b - a) * tt for a, b in zip(corners, corners[1:] + corners[:1])])
     vals = np.asarray(theta(params, mode, z)) - kappa
     for _ in range(40):
         if np.any(np.abs(vals) < 1e-13):
@@ -237,15 +225,10 @@ def _winding(params, mode, kappa, corners, max_points=400_000):
 
 def _pole_count(a, sigma_lo, sigma_hi):
     """Symbol poles 2 A_m + 2k, k >= 0, inside the sigma band."""
-    count = 0
     k = 0
-    while True:
-        s = 2.0 * a + 2.0 * k
-        if s >= sigma_hi:
-            return count
-        if s > sigma_lo:
-            count += 1
+    while 2.0 * a + 2.0 * k < sigma_hi:
         k += 1
+    return sum(1 for j in range(k) if 2.0 * a + 2.0 * j > sigma_lo)
 
 
 def certified_count(params, mode, sigma_lo, sigma_hi, tau_max=None):
@@ -256,18 +239,12 @@ def certified_count(params, mode, sigma_lo, sigma_hi, tau_max=None):
     poles on the imaginary axis are added back to the winding number.
     The boundary must stay away from roots and symbol poles.
     """
-    from .symbol import ModeIndex
-
     m = mode.degree if isinstance(mode, ModeIndex) else int(mode)
     if tau_max is None:
         tau_max = 4.0 * (m + 10)
     a, _ = mode_constants(params, mode)
-    corners = [
-        complex(-tau_max, sigma_lo),
-        complex(tau_max, sigma_lo),
-        complex(tau_max, sigma_hi),
-        complex(-tau_max, sigma_hi),
-    ]
+    corners = [complex(-tau_max, sigma_lo), complex(tau_max, sigma_lo)]
+    corners += [complex(tau_max, sigma_hi), complex(-tau_max, sigma_hi)]
     w = _winding(params, mode, params.kappa, corners)
     return w + _pole_count(a, sigma_lo, sigma_hi)
 
@@ -286,11 +263,32 @@ def find_roots(params, mode=0, count=12, search_height=None):
     :class:`IncompleteError` if the requested count is not reached below
     ``search_height``; the partial list rides on the exception as
     ``.roots``.
+
+    Results are memoized on ``(params, mode)``: a call for at most as
+    many roots as an earlier one returns a new list holding that call's
+    first ``count`` roots.  A call with an explicit ``search_height``
+    always searches afresh.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    slot = _memo(params, mode) if search_height is None else []
+    known = slot[0] if slot else ()
+    if len(known) >= count:
+        return list(known[:count])
+    roots = _search(params, mode, count, search_height)
+    slot[:] = [tuple(roots)]
+    return roots
+
+
+@functools.lru_cache(maxsize=64)
+def _memo(params, mode):
+    """Slot holding the last certified roots of (params, mode) at the default height."""
+    return []
+
+
+def _search(params, mode, count, search_height):
     kappa = params.kappa
-    lam_m = _axis_value(params, mode, 0.0)
+    lam_m = float(_values(params, mode, _AXIS, 0.0))
     if abs(kappa - lam_m) <= 1e-9:
         raise ThresholdError(
             f"kappa = {kappa} is within 1e-9 of the mode threshold {lam_m}; "
@@ -299,65 +297,49 @@ def find_roots(params, mode=0, count=12, search_height=None):
     a, b = mode_constants(params, mode)
     if search_height is None:
         search_height = 2.0 * b + 2.0 * count + 2.0
+    # Window j spans (2 A_m + 2(j - 1), 2 B_m + 2j); only those starting
+    # below the search height are searched.
+    windows = [j for j in range(1, count) if 2.0 * a + 2.0 * (j - 1) < search_height]
 
-    locations = []  # (sigma, tau)
-    if kappa > lam_m:
-        locations.append((0.0, _real_axis_root(params, mode, kappa)))
-    elif kappa > 0.0:
-        locations.append((_first_axis_root(params, mode, kappa, b), 0.0))
+    if kappa == 0.0:
+        locations = [(2.0 * b + 2.0 * j, 0.0) for j in [0] + windows]
     else:
-        locations.append((2.0 * b, 0.0))
-
-    j = 1
-    while len(locations) < count:
-        lo_pole = 2.0 * a + 2.0 * (j - 1)
-        hi_zero = 2.0 * b + 2.0 * j
-        if lo_pole >= search_height:
-            partial = _assemble(params, mode, kappa, locations)
-            err = IncompleteError(
-                f"only {len(partial)} of {count} roots below search_height={search_height}"
-            )
-            err.roots = partial
-            raise err
-        if kappa == 0.0:
-            locations.append((hi_zero, 0.0))
-        else:
-            locations.append((_window_root(params, mode, kappa, lo_pole, hi_zero), 0.0))
-        j += 1
+        first = _REAL_PAIR if kappa > lam_m else _first_axis(b)
+        x = _solve(params, mode, kappa, [first] + [_window(a, b, j) for j in windows]).tolist()
+        locations = [(0.0, x[0]) if kappa > lam_m else (x[0], 0.0)]
+        locations += [(sigma, 0.0) for sigma in x[1:]]
 
     roots = _assemble(params, mode, kappa, locations)
-    _certify(params, mode, kappa, a, b, roots)
+    if len(roots) < count:
+        err = IncompleteError(
+            f"only {len(roots)} of {count} roots below search_height={search_height}"
+        )
+        err.roots = roots
+        raise err
+    _certify(params, mode, kappa > lam_m, a, b, roots)
     return roots
 
 
 def _assemble(params, mode, kappa, locations):
-    roots = []
-    for sigma, tau in sorted(locations):
-        if abs(tau) < 1e-9:
-            tau = 0.0
-        z = complex(tau, sigma)
-        resid = complex(theta(params, mode, z)) - kappa
-        if abs(resid) > ROOT_RESIDUAL_TOL:
-            raise NoRootError(
-                f"candidate at z={z} has symbol residual {abs(resid):.3e}"
-            )
-        stub = IndicialRoot(sigma=sigma, tau=tau, residue=0j, index=len(roots))
-        roots.append(
-            IndicialRoot(
-                sigma=sigma,
-                tau=tau,
-                residue=residue_at(params, mode, stub),
-                index=len(roots),
-            )
-        )
-    return roots
+    """Roots with residues, after checking each location's symbol residual."""
+    located = [(sigma, 0.0 if abs(tau) < 1e-9 else tau) for sigma, tau in sorted(locations)]
+    z = np.array([complex(tau, sigma) for sigma, tau in located])
+    resid = np.abs(theta(params, mode, z) - kappa)
+    for zj, rj in zip(z, resid):
+        if rj > ROOT_RESIDUAL_TOL:
+            raise NoRootError(f"candidate at z={complex(zj)} has symbol residual {rj:.3e}")
+    slopes = theta_derivative(params, mode, z)
+    return [
+        IndicialRoot(sigma=sigma, tau=tau, residue=_residue(sigma, tau, complex(d)), index=j)
+        for j, ((sigma, tau), d) in enumerate(zip(located, slopes))
+    ]
 
 
-def _certify(params, mode, kappa, a, b, roots):
+def _certify(params, mode, unstable, a, b, roots):
     """One winding count over a rectangle enclosing every returned root."""
     sig = [r.sigma for r in roots]
     top = max(sig) + (a - b)  # half a spectral gap past the last root
-    if kappa > _axis_value(params, mode, 0.0):
+    if unstable:
         bottom = -(a - b)  # reach below the real pair, above the mirror poles
     else:
         bottom = 0.5 * min(s for s in sig if s > 0.0)
@@ -381,14 +363,19 @@ def residue_at(params, mode, root):
     exactly.
     """
     d = complex(theta_derivative(params, mode, root.z))
+    return _residue(root.sigma, root.tau, d)
+
+
+def _residue(sigma, tau, d):
+    """``1/d`` at the pole ``tau + i sigma``, with the symmetry made exact."""
     if abs(d) < DEGENERATE_TOL:
         raise DegenerateRootError(
-            f"|Theta'| = {abs(d):.3e} at z = {root.z}; root is not simple"
+            f"|Theta'| = {abs(d):.3e} at z = {complex(tau, sigma)}; root is not simple"
         )
     r = 1.0 / d
-    if root.tau == 0.0:
+    if tau == 0.0:
         return complex(0.0, r.imag)
-    if root.sigma == 0.0:
+    if sigma == 0.0:
         return complex(r.real, 0.0)
     return r
 
@@ -405,14 +392,14 @@ def find_lambda_prime(params, mode=0, kappa_max=1e8, samples_per_decade=6):
     rather than inventing a finite level.
     """
     a, b = mode_constants(params, mode)
-    lam_m = _axis_value(params, mode, 0.0)
+    lam_m = float(_values(params, mode, _AXIS, 0.0))
     floor = 2.0 * a
     kap = lam_m * 1.01
     ratio = 10.0 ** (1.0 / samples_per_decade)
     prev_gap = None
     sigma1 = None
     while kap <= kappa_max:
-        sigma1 = _window_root(params, mode, kap, 2.0 * a, 2.0 * b + 2.0)
+        sigma1 = float(_solve(params, mode, kap, [_window(a, b, 1)])[0])
         if sigma1 <= 1e-6:
             return kap
         gap = sigma1 - floor

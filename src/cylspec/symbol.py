@@ -93,8 +93,10 @@ class CylinderParams:
         if self.kappa < 0.0:
             raise ValidationError(f"kappa must be non-negative, got {self.kappa}")
         # Derived shift is non-negative on the admissible range and zero
-        # exactly at the critical exponent.
-        assert self.q0 >= -1e-14
+        # at the critical exponent, up to the rounding of 2 gamma/(p - 1),
+        # which grows like 2 gamma p/(p - 1)^2 as gamma -> 0.
+        p = self.p
+        assert self.q0 >= -1e-13 * (1.0 + self.n + 2.0 * self.gamma * p / (p - 1.0) ** 2)
 
     @property
     def p_critical(self):

@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cylspec import indicial
 from cylspec.errors import (
     ContinuationError,
+    CylspecError,
     DegenerateRootError,
     IncompleteError,
     ThresholdError,
     ValidationError,
 )
 from cylspec.indicial import certified_count, find_lambda_prime, find_roots, residue_at
-from cylspec.symbol import CylinderParams, theta
+from cylspec.symbol import CylinderParams, mode_constants, theta
 
 # Frozen 40-digit oracle: roots of sigma cot(pi sigma/2) = kappa in
 # successive windows, and the coefficients -1/f'(sigma_j).
@@ -167,8 +171,103 @@ def test_higher_mode_roots():
 def test_lambda_prime_plateau_is_reported():
     with pytest.raises(ContinuationError, match="plateau"):
         find_lambda_prime(_params(0.0))
+    # Frozen continuation: the level and gap at which the plateau is seen.
+    with pytest.raises(ContinuationError) as info:
+        find_lambda_prime(_params(0.0, 4, 0.6))
+    assert "pole 2.6: gap 2.351e-03 at kappa=7.556920e+02" in str(info.value)
 
 
 def test_count_validation():
     with pytest.raises(ValidationError):
         find_roots(_params(0.3), mode=0, count=0)
+
+
+@pytest.fixture
+def cold():
+    """Empty root memo before and after the test."""
+    indicial._memo.cache_clear()
+    yield
+    indicial._memo.cache_clear()
+
+
+def _bits(roots):
+    return [
+        (r.sigma.hex(), r.tau.hex(), r.residue.real.hex(), r.residue.imag.hex(), r.index)
+        for r in roots
+    ]
+
+
+@pytest.mark.parametrize("regime", ["stable", "zero", "unstable"])
+@pytest.mark.parametrize("mode", [0, 1, 2, 3])
+def test_prefix_equals_full_count(cold, regime, mode):
+    lam = complex(theta(_params(0.0), mode, 0.0)).real
+    kappa = {"stable": 0.5 * lam, "zero": 0.0, "unstable": 1.25 * lam}[regime]
+    params = _params(kappa)
+    full = _bits(find_roots(params, mode, count=14))
+    for k in range(1, 15):
+        assert _bits(find_roots(params, mode, count=k)) == full[:k]  # warm
+        indicial._memo.cache_clear()
+        assert _bits(find_roots(params, mode, count=k)) == full[:k]  # cold
+    # A larger count after a smaller one searches again, to the same roots.
+    assert _bits(find_roots(params, mode, count=14)) == full
+
+
+def test_incomplete_search_after_warm_call(cold):
+    find_roots(_params(0.3), mode=0, count=14)
+    test_incomplete_search_carries_partial()
+
+
+def test_explicit_search_height_is_a_cold_call(cold):
+    params = _params(0.3)
+    warm = _bits(find_roots(params, mode=0, count=14))
+    height = 2.0 * mode_constants(params, 0)[1] + 2.0 * 5 + 2.0
+    assert _bits(find_roots(params, mode=0, count=5, search_height=height)) == warm[:5]
+
+
+def test_returned_list_is_a_copy(cold):
+    params = _params(0.3)
+    first = find_roots(params, mode=0, count=6)
+    want = _bits(first)
+    first.clear()
+    again = find_roots(params, mode=0, count=6)
+    assert _bits(again) == want
+    again.reverse()
+    assert _bits(find_roots(params, mode=0, count=3)) == want[:3]
+
+
+def test_memo_is_bounded(cold):
+    size = indicial._memo.cache_parameters()["maxsize"]
+    for j in range(size + 6):
+        find_roots(_params(0.0, 3, 0.1 + 0.01 * j), mode=0, count=2)
+    assert indicial._memo.cache_info().currsize == size
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    mode=st.integers(0, 3),
+    count=st.integers(1, 8),
+    unstable=st.booleans(),
+    rel=st.floats(1e-6, 1.0),
+)
+def test_roots_are_certified_or_a_named_error(n, gamma, mode, count, unstable, rel):
+    try:
+        lam = complex(theta(CylinderParams(n=n, gamma=gamma), mode, 0.0)).real
+        kappa = lam * (1.0 + rel) if unstable else lam * (1.0 - rel)
+        params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
+        roots = find_roots(params, mode, count=count)
+    except CylspecError:
+        return
+    a, b = mode_constants(params, mode)
+    sig = [r.sigma for r in roots]
+    assert len(roots) == count and sig == sorted(sig) and len(set(sig)) == count
+    for j, r in enumerate(roots):
+        assert abs(complex(theta(params, mode, r.z)) - kappa) <= 1e-8
+        assert r.index == j
+        if j >= 1:  # a positive level may round onto the window's zero end
+            assert 2.0 * a + 2.0 * (j - 1) < r.sigma <= 2.0 * b + 2.0 * j
+    if unstable:
+        assert roots[0].sigma == 0.0 and roots[0].tau > 0.0
+    else:
+        assert 0.0 < roots[0].sigma <= 2.0 * b and roots[0].tau == 0.0

@@ -5,8 +5,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cylspec.errors import PoleError, ThresholdError, ValidationError
+from cylspec.errors import CylspecError, PoleError, ThresholdError, ValidationError
 from cylspec.symbol import (
     CylinderParams,
     ModeIndex,
@@ -86,6 +88,25 @@ def test_symbol_symmetries():
     assert complex(theta(P35, 0, 2.7)).imag == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    mode=st.integers(0, 3),
+    re=st.floats(-50.0, 50.0),
+    im=st.floats(-20.0, 20.0),
+)
+def test_symbol_symmetries_are_exact(n, gamma, mode, re, im):
+    z = complex(re, im)
+    try:
+        params = CylinderParams(n=n, gamma=gamma)
+        v = complex(theta(params, mode, z))
+    except CylspecError:  # gamma so small that p rounds to 1, or z on a pole
+        return
+    assert complex(theta(params, mode, -z)) == v
+    assert complex(theta(params, mode, z.conjugate())) == v.conjugate()
+
+
 def test_symbol_axis_zeros_and_poles():
     # Denominator Gamma poles are zeros of the symbol: sigma = 2 B0 + 2k.
     assert complex(theta(P35, 0, 1j)) == 0.0
@@ -149,6 +170,10 @@ def test_constant_A_reference():
 def test_q0_sign_and_criticality():
     assert CylinderParams(n=3, gamma=0.5, p=1.75).q0 > 0.0
     assert abs(CylinderParams(n=3, gamma=0.5, p=2.0).q0) < 1e-14
+    # At the critical exponent q0 is 0 up to the rounding of p - 1, which
+    # grows as gamma -> 0; these once tripped the internal check.
+    for n, gamma in [(8, 0.13041967466408066), (6, 0.014474477761118017), (7, 1.8638e-4)]:
+        assert abs(CylinderParams(n=n, gamma=gamma).q0) < 1e-11
 
 
 def test_stability_classification():
