@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import DecayHypothesisError, GridMismatchError, ValidationError, WindowError
 
@@ -62,8 +61,10 @@ def real_circulant(values):
     every lag, and reaches the low frequencies; in a residual it shows
     as noise in a decaying tail, so it is for Krylov products only.
     """
+    from scipy.fft import next_fast_len  # at first use, not at `import cylspec`
+
     n = values.size
-    m = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    m = next_fast_len(2 * n - 1, real=True)
     kernel = np.fft.ifft(values).real
     lags = np.zeros(m)
     lags[:n] = kernel
@@ -92,6 +93,8 @@ def fftconvolve(a, b, b_spectra=None):
     dict passed again with the same ``b``, keeps b's transforms between
     calls.
     """
+    from scipy.fft import next_fast_len
+
     n = a.size + b.size - 1
     spectra = {} if b_spectra is None else b_spectra
 
@@ -101,9 +104,9 @@ def fftconvolve(a, b, b_spectra=None):
         return spectra[transform, m]
 
     if np.iscomplexobj(a) or np.iscomplexobj(b):
-        m = scipy.fft.next_fast_len(n)
+        m = next_fast_len(n)
         return np.fft.ifft(_spectrum(a, m) * of_b(_spectrum, m))[:n]
-    m = scipy.fft.next_fast_len(n, real=True)
+    m = next_fast_len(n, real=True)
     return np.fft.irfft(np.fft.rfft(a, m) * of_b(np.fft.rfft, m), m)[:n]
 
 
@@ -119,22 +122,34 @@ def trapezoid(values, step):
     return step * (np.sum(values) - 0.5 * (values[0] + values[-1]))
 
 
-def tail_rate(samples, t):
-    """Decay rate at +infinity from a log-linear fit to the tail.
+TAIL_FLOOR = 1e-13
+TAIL_CEILING = 1e-3
 
-    The tail is the samples right of the peak between 1e-13 and 1e-3 of
-    it.  With fewer than 8 of them the rate is ``inf`` if the last
-    sample is below 1e-13 of the peak (a numerically zero tail).
+
+def tail_mask(samples):
+    """The tail: samples right of the peak between TAIL_FLOOR and TAIL_CEILING of it.
+
+    Returns the boolean mask and the magnitudes relative to the peak.
     """
     mag = np.abs(samples)
     top = int(np.argmax(mag))
     rel = mag / mag[top]
-    sel = (np.arange(mag.size) > top) & (rel < 1e-3) & (rel > 1e-13)
+    sel = (np.arange(mag.size) > top) & (rel < TAIL_CEILING) & (rel > TAIL_FLOOR)
+    return sel, rel
+
+
+def tail_rate(samples, t):
+    """Decay rate at +infinity from a log-linear fit to the :func:`tail_mask` samples.
+
+    With fewer than 8 of them the rate is ``inf`` if the last sample is
+    below TAIL_FLOOR of the peak (a numerically zero tail).
+    """
+    sel, rel = tail_mask(samples)
     if np.count_nonzero(sel) < 8:
-        if rel[-1] < 1e-13:
+        if rel[-1] < TAIL_FLOOR:
             return math.inf
         raise DecayHypothesisError("too few tail samples to measure a decay rate")
-    return -np.polyfit(t[sel], np.log(mag[sel]), 1)[0]
+    return -np.polyfit(t[sel], np.log(np.abs(samples[sel])), 1)[0]
 
 
 def write_csv(fh, header, rows, metadata=None):

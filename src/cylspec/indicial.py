@@ -239,9 +239,8 @@ def certified_count(params, mode, sigma_lo, sigma_hi, tau_max=None):
     poles on the imaginary axis are added back to the winding number.
     The boundary must stay away from roots and symbol poles.
     """
-    m = mode.degree if isinstance(mode, ModeIndex) else int(mode)
     if tau_max is None:
-        tau_max = 4.0 * (m + 10)
+        tau_max = _default_tau_max(mode)
     a, _ = mode_constants(params, mode)
     corners = [complex(-tau_max, sigma_lo), complex(tau_max, sigma_lo)]
     corners += [complex(tau_max, sigma_hi), complex(-tau_max, sigma_hi)]
@@ -335,8 +334,18 @@ def _assemble(params, mode, kappa, locations):
     ]
 
 
+def _default_tau_max(mode):
+    """Half-width ``4 (m + 10)`` of the default counting rectangle."""
+    m = mode.degree if isinstance(mode, ModeIndex) else int(mode)
+    return 4.0 * (m + 10)
+
+
 def _certify(params, mode, unstable, a, b, roots):
-    """One winding count over a rectangle enclosing every returned root."""
+    """One winding count over a rectangle enclosing every returned root.
+
+    The rectangle is the default one, widened to ``1.5 max tau`` when an
+    unstable real pair lies beyond it.
+    """
     sig = [r.sigma for r in roots]
     top = max(sig) + (a - b)  # half a spectral gap past the last root
     if unstable:
@@ -344,7 +353,8 @@ def _certify(params, mode, unstable, a, b, roots):
     else:
         bottom = 0.5 * min(s for s in sig if s > 0.0)
     expected = sum(1 if r.tau == 0.0 else 2 for r in roots)
-    got = certified_count(params, mode, bottom, top)
+    tau_max = max(_default_tau_max(mode), 1.5 * max(r.tau for r in roots))
+    got = certified_count(params, mode, bottom, top, tau_max)
     if got != expected:
         err = IncompleteError(
             f"argument principle counts {got} roots in the search band, located {expected}"

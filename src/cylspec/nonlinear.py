@@ -18,11 +18,9 @@ the residual it would leave noise in the decaying tails.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import DivergenceError, NegativityError, ValidationError
 from .grid import GridFunction, angular_frequencies, multiply, real_circulant
@@ -39,10 +37,12 @@ NEGATIVITY_RETRIES = 2
 # The 2-norm bounds the sup norm, so the step still lands below tolerance.
 GMRES_FLOOR = 0.1
 
-# scipy renamed gmres's stopping keyword; resolve once
-_GMRES_TOL_KW = (
-    "rtol" if "rtol" in inspect.signature(gmres).parameters else "tol"
-)
+
+def gmres(A, b, **kwargs):
+    """``scipy.sparse.linalg.gmres``, which loads at the first solve, not at import."""
+    from scipy.sparse.linalg import gmres as scipy_gmres
+
+    return scipy_gmres(A, b, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,8 @@ def solve_profile(
     if symmetric:
         w = 0.5 * (w + w[::-1])
 
+    from scipy.sparse.linalg import LinearOperator
+
     p = params.p
     n = w.size
     xi = angular_frequencies(n, initial_guess.step)
@@ -139,8 +141,7 @@ def solve_profile(
             (n, n), matvec=real_circulant(1.0 / (sym_vals + shift)), dtype=np.float64
         )
         delta, info = gmres(
-            op, r, M=pre, restart=60, maxiter=300, atol=gmres_atol,
-            **{_GMRES_TOL_KW: 1e-10},
+            op, r, M=pre, restart=60, maxiter=300, atol=gmres_atol, rtol=1e-10
         )
         if info != 0:
             raise DivergenceError(

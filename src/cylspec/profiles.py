@@ -14,10 +14,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DomainError, NoFitError, ValidationError, WindowError
-from .grid import GridFunction, angular_frequencies, multiply
+from .grid import (
+    TAIL_CEILING,
+    TAIL_FLOOR,
+    GridFunction,
+    angular_frequencies,
+    multiply,
+    tail_mask,
+)
 from .specfun import hyp2f1, log_gamma
 from .symbol import CylinderParams, theta
 
@@ -35,6 +41,9 @@ __all__ = [
 # tail-corrected transform.
 DECAY_MARGIN_MAX = 1e-4
 FIT_RESIDUAL_MAX = 0.05
+# The pencil's decimated sample count and relative singular-value floor.
+PENCIL_SAMPLES = 200
+PENCIL_RANK_FLOOR = 1e-10
 
 _CONSTANT_SPREAD = 1e-10
 
@@ -144,63 +153,41 @@ def _design_columns(t, sigma, tau):
     return np.column_stack([damp * np.cos(tau * t), damp * np.sin(tau * t)])
 
 
-def _candidate_fit(t, y, roots):
+def _candidate_fit(t, y, rates):
+    """The ``(sigma, tau)`` pair whose single term fits y best, by linear least squares."""
     best = None
     norm = math.sqrt(float(np.mean(y**2)))
-    for root in roots:
-        cols = _design_columns(t, root.sigma, root.tau)
+    for sigma, tau in rates:
+        cols = _design_columns(t, sigma, tau)
         coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
         resid = math.sqrt(float(np.mean((cols @ coef - y) ** 2))) / norm
-        amps = (coef[0], 0.0) if root.tau == 0.0 else (coef[0], coef[1])
+        amps = (coef[0], 0.0) if tau == 0.0 else (coef[0], coef[1])
         if best is None or resid < best[0]:
-            best = (resid, root.sigma, root.tau, amps)
+            best = (resid, sigma, tau, amps)
     return best
 
 
-def _crossings(t, y):
-    sign = np.sign(y)
-    hits = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    frac = y[hits] / (y[hits] - y[hits + 1])
-    return t[hits] + frac * (t[hits + 1] - t[hits])
+def _pencil_rates(t, y):
+    """Decaying rates ``(sigma, tau)`` in y's samples, by the matrix pencil.
 
-
-def _free_fit(t, y):
-    t0 = t[0]
-    tc = t - t0
-    cross = _crossings(t, y)
-    if cross.size >= 3:
-        tau0 = math.pi / float(np.mean(np.diff(cross)))
-        # envelope slope from log of the running amplitude
-        env = np.abs(y) + 1e-300
-        sigma0 = max(-np.polyfit(tc, np.log(env), 1)[0], 1e-3)
-
-        def resid(x):
-            s, ta, a, b = x
-            return np.exp(-s * tc) * (a * np.cos(ta * tc) + b * np.sin(ta * tc)) - y
-
-        sol = least_squares(
-            resid,
-            x0=[sigma0, tau0, y[0], 0.0],
-            bounds=([0.0, 0.0, -np.inf, -np.inf], [np.inf, np.inf, np.inf, np.inf]),
-        )
-        s, ta, a, b = sol.x
-    else:
-        env = np.abs(y) + 1e-300
-        slope, intercept = np.polyfit(tc, np.log(env), 1)
-        sigma0, amp0 = max(-slope, 1e-3), math.copysign(math.exp(intercept), y[0])
-
-        def resid(x):
-            s, a = x
-            return a * np.exp(-s * tc) - y
-
-        sol = least_squares(resid, x0=[sigma0, amp0])
-        s, a = sol.x
-        ta, b = 0.0, 0.0
-    misfit = math.sqrt(float(np.mean(sol.fun**2) / np.mean(y**2)))
-    # shift amplitudes from the t - t0 frame back to absolute t
-    grow = math.exp(s * t0)
-    cos0, sin0 = math.cos(ta * t0), math.sin(ta * t0)
-    return misfit, s, ta, (grow * (a * cos0 - b * sin0), grow * (a * sin0 + b * cos0))
+    Hua & Sarkar (IEEE TASSP 1990): the samples, decimated to at most
+    PENCIL_SAMPLES, fill a Hankel matrix; its right singular vectors
+    above PENCIL_RANK_FLOOR of the largest span the signal, and the
+    eigenvalues ``z`` of the pencil of that basis shifted by one sample
+    are ``exp(-(sigma - i tau) dt)``.  One rate per conjugate pair.
+    """
+    stride = -(-t.size // PENCIL_SAMPLES)
+    ys = y[::stride]
+    dt = stride * float(t[1] - t[0])
+    hankel = np.lib.stride_tricks.sliding_window_view(ys, ys.size // 2 + 1)
+    _, sv, vh = np.linalg.svd(hankel, full_matrices=False)
+    basis = vh[: int(np.count_nonzero(sv > PENCIL_RANK_FLOOR * sv[0]))].T
+    shift, *_ = np.linalg.lstsq(basis[:-1], basis[1:], rcond=None)
+    z = np.linalg.eigvals(shift)
+    sigma = -np.log(np.abs(z)) / dt
+    tau = np.angle(z) / dt
+    keep = (sigma > 0.0) & (tau >= 0.0)
+    return list(zip(sigma[keep].tolist(), tau[keep].tolist()))
 
 
 def frobenius_fit(
@@ -211,18 +198,27 @@ def frobenius_fit(
 ) -> AsymptoticFit:
     """Fit the leading decaying term of a profile tail.
 
-    With candidate roots, picks the one whose (sigma, tau) pair fits the
-    window best by linear least squares.  Without candidates, estimates
-    sigma from the log envelope and tau from zero-crossing spacing, then
-    refines both by nonlinear least squares.  Raises NoFitError when the
-    best normalized RMS misfit exceeds residual_threshold.
+    The default window runs from the first to the last tail sample of
+    :func:`grid.tail_mask`: right of the peak, between 1e-13 and 1e-3
+    of it.  The candidate rates are the given roots' ``(sigma, tau)``
+    pairs, or without roots the decaying rates that the matrix pencil
+    finds in the window (:func:`_pencil_rates`).  The candidate whose
+    single term fits the window best by linear least squares is the
+    leading term.  Raises NoFitError when its normalized RMS misfit
+    exceeds residual_threshold.
     """
     vals = w.samples.real
     tg = w.t
     if window is None:
-        peak_t = tg[int(np.argmax(np.abs(vals)))]
-        span = w.t_max - peak_t
-        window = (w.t_max - span / 3.0, w.t_max - 0.1 * span)
+        if not np.any(vals):
+            raise NoFitError("profile vanishes")
+        tail = tg[tail_mask(vals)[0]]
+        if tail.size < 8:
+            raise WindowError(
+                f"{tail.size} samples right of the peak lie between "
+                f"{TAIL_FLOOR:.0e} and {TAIL_CEILING:.0e} of it; pass a window"
+            )
+        window = (tail[0], tail[-1])
     lo, hi = float(window[0]), float(window[1])
     if not (w.t_min <= lo < hi <= w.t_max):
         raise ValidationError(f"fit window {window!r} outside the grid")
@@ -236,9 +232,12 @@ def frobenius_fit(
     yn = y / scale
 
     if candidate_roots:
-        resid, sigma, tau, amps = _candidate_fit(t, yn, candidate_roots)
+        rates = [(root.sigma, root.tau) for root in candidate_roots]
     else:
-        resid, sigma, tau, amps = _free_fit(t, yn)
+        rates = _pencil_rates(t, yn)
+        if not rates:
+            raise NoFitError("the fit window holds no decaying term")
+    resid, sigma, tau, amps = _candidate_fit(t, yn, rates)
     if not resid <= residual_threshold:
         raise NoFitError(
             f"best tail fit misses by {resid:.3e} (threshold {residual_threshold:.0e})"

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -331,7 +332,24 @@ def test_grid_csv_matches_cli_body(tmp_path):
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    code = "import sys, cylspec; assert 'scipy.signal' not in sys.modules"
+    # `import cylspec` loads numpy and scipy.special; the rest of scipy
+    # loads in the call that needs it, and the tail fit needs none of it.
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import cylspec
+        heavy = ("scipy.signal", "scipy.optimize", "scipy.sparse", "scipy.fft")
+        loaded = [name for name in heavy if name in sys.modules]
+        assert not loaded, loaded
+        w = cylspec.GridFunction.from_callable(
+            lambda t: np.exp(-0.8 * np.abs(t)) * np.cos(1.7 * t) + 0j
+        )
+        fit = cylspec.frobenius_fit(w)
+        assert abs(fit.sigma - 0.8) < 1e-6 and abs(fit.tau - 1.7) < 1e-6
+        assert "scipy.optimize" not in sys.modules
+        """
+    )
     _, env = _entry_point()
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -18,6 +18,7 @@ from cylspec.grid import (
     fftconvolve,
     multiply,
     real_circulant,
+    tail_mask,
     tail_rate,
     trapezoid_weights,
 )
@@ -118,6 +119,18 @@ def test_real_circulant_matches_multiply(n):
         exact = multiply(values, v).real
         scale = np.finfo(float).eps * np.max(np.abs(values)) * np.max(np.abs(v))
         assert np.max(np.abs(fast - exact)) <= 8.0 * scale
+
+
+def test_tail_mask():
+    t = np.linspace(-30.0, 30.0, 7681)
+    samples = np.exp(-2.0 * np.abs(t - 1.0))
+    sel, rel = tail_mask(samples)
+    assert rel.max() == 1.0
+    picked = t[sel]
+    # right of the peak at t = 1, from below 1e-3 (t > 1 + ln(1e3)/2) to above 1e-13
+    assert np.all(picked > 1.0 + 0.5 * math.log(1e3))
+    assert np.all(picked < 1.0 + 0.5 * math.log(1e13))
+    assert picked.size == np.count_nonzero((t > 1.0) & (rel < 1e-3) & (rel > 1e-13))
 
 
 def test_tail_rate():

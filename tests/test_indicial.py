@@ -82,6 +82,15 @@ def test_unstable_roots_reference():
         assert abs(r.sigma - want) < 1e-11 and r.tau == 0.0
 
 
+def test_far_real_pair_is_certified(cold):
+    # tau_0 lies beyond the default counting rectangle's 4 (m + 10) = 40.
+    params = CylinderParams(n=4, gamma=0.18993, kappa=4.156)
+    roots = find_roots(params, mode=0, count=3)
+    assert roots[0].sigma == 0.0 and 40.0 < roots[0].tau < 45.0
+    assert [r.tau for r in roots[1:]] == [0.0, 0.0]
+    assert abs(complex(theta(params, 0, roots[0].tau)) - params.kappa) < 1e-8
+
+
 def test_residue_first_order_consistency():
     params = _params(0.3)
     root = find_roots(params, mode=0, count=1)[0]

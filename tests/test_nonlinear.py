@@ -157,3 +157,18 @@ def test_solved_tail_is_clean(stall_guess_solve):
     fit = frobenius_fit(report.solution)
     sigma0 = 0.5 * params.n - params.gamma
     assert abs(fit.sigma - sigma0) < 0.01 * sigma0
+
+
+@pytest.mark.parametrize("n, gamma", [(5, 0.25), (6, 0.9)])
+def test_default_fit_window_follows_the_tail(n, gamma):
+    # From this guess the solved tail is round-off on the last third of
+    # the grid, so the default window has to be placed by magnitude.
+    params = CylinderParams(n=n, gamma=gamma)
+    c = params.lam ** (1.0 / (params.p - 1.0))
+    guess = _grid(
+        lambda t: c * bubble(params, t) * (1.0 + 0.13 * np.cos(0.75 * t) * np.exp(-t * t / 18.0))
+    )
+    fit = frobenius_fit(solve_profile(params, guess).solution)
+    sigma0 = 0.5 * n - gamma
+    assert abs(fit.sigma - sigma0) <= 1e-6 * sigma0
+    assert fit.tau == 0.0

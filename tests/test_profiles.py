@@ -187,6 +187,8 @@ def test_fit_guards():
     zero = _planted(lambda t: np.zeros_like(t))
     with pytest.raises(NoFitError):
         frobenius_fit(zero, window=(8.0, 15.0))
+    with pytest.raises(NoFitError):
+        frobenius_fit(zero)
     noise = _planted(lambda t: np.cos(17.0 * t))
     with pytest.raises(NoFitError):
         frobenius_fit(noise, window=(1.0, 2.0), candidate_roots=[
@@ -197,6 +199,12 @@ def test_fit_guards():
         frobenius_fit(w, window=(10.0, 30.0))
     with pytest.raises(ValidationError):
         frobenius_fit(w, window=(5.0, 5.01))
+    # no decaying term for the pencil to find
+    with pytest.raises(NoFitError):
+        frobenius_fit(_planted(lambda t: np.exp(0.2 * t)), window=(1.0, 5.0))
+    # the default window needs a tail that falls below 1e-3 of the peak
+    with pytest.raises(WindowError):
+        frobenius_fit(_planted(lambda t: np.exp(-0.1 * t)))
 
 
 def test_fit_scale_equivariance():
