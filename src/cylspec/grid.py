@@ -127,15 +127,18 @@ TAIL_CEILING = 1e-3
 
 
 def tail_mask(samples):
-    """The tail: samples right of the peak between TAIL_FLOOR and TAIL_CEILING of it.
+    """The tail: samples whose envelope lies between TAIL_FLOOR and TAIL_CEILING of the peak.
 
-    Returns the boolean mask and the magnitudes relative to the peak.
+    The envelope at a sample is the largest magnitude at or right of it,
+    so it equals the peak up to the peak and an oscillating tail enters
+    only once all of it to the right stays below TAIL_CEILING, not at its
+    first zero crossing.  On a tail decreasing in magnitude the envelope
+    is the magnitude.  Returns the boolean mask and the envelope relative
+    to the peak.
     """
-    mag = np.abs(samples)
-    top = int(np.argmax(mag))
-    rel = mag / mag[top]
-    sel = (np.arange(mag.size) > top) & (rel < TAIL_CEILING) & (rel > TAIL_FLOOR)
-    return sel, rel
+    env = np.maximum.accumulate(np.abs(samples)[::-1])[::-1]
+    rel = env / env[0]
+    return (rel < TAIL_CEILING) & (rel > TAIL_FLOOR), rel
 
 
 def tail_rate(samples, t):

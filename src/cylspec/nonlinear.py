@@ -1,11 +1,20 @@
 """Damped Newton solver for the nonlinear profile equation.
 
-The equation is the multiplier form of the profile problem: the symbol
-acts spectrally on the grid, the power nonlinearity acts pointwise, and
-each Newton linearization is solved by preconditioned GMRES with the
-free symbol as preconditioner.  Parity of an even initial guess is
-enforced on every iterate, which also keeps the translation direction
-out of the linearization's way.
+The equation is the multiplier form of the profile problem,
+``(Theta_0(D) - kappa) w = w^p``: the symbol acts spectrally on the
+grid and the power nonlinearity acts pointwise.  Each Newton
+linearization ``Theta_0 - kappa - p w^(p-1)`` is the free operator plus
+a localized potential, so GMRES is preconditioned by the exact inverse
+of the free operator, ``(Theta_0 - kappa)^(-1)``, built once per solve.
+It is bounded by ``1/(Lambda - kappa)``, because ``Theta_0`` increases
+in ``|xi|`` from ``Theta_0(0) = Lambda`` (derived in
+:func:`solve_profile`).  The preconditioned operator
+``I - (Theta_0 - kappa)^(-1) p w^(p-1)`` is the identity plus a compact
+term, and GMRES takes about as many iterations on a refined grid as on
+the default one.  Every Newton step is recorded on the report, and on
+the error that ends a failed solve, as a :class:`NewtonStep`.  Parity
+of an even initial guess is enforced on every iterate, which also keeps
+the translation direction out of the linearization's way.
 
 The Newton residual, which defines the solution and its tail, uses the
 exact multiplier :func:`grid.multiply`.  The GMRES products (the
@@ -26,7 +35,7 @@ from .errors import DivergenceError, NegativityError, ValidationError
 from .grid import GridFunction, angular_frequencies, multiply, real_circulant
 from .symbol import CylinderParams, theta
 
-__all__ = ["SolveReport", "solve_profile"]
+__all__ = ["NewtonStep", "SolveReport", "solve_profile"]
 
 MAX_ITERATIONS = 50
 MAX_HALVINGS = 6
@@ -46,14 +55,27 @@ def gmres(A, b, **kwargs):
 
 
 @dataclass(frozen=True)
+class NewtonStep:
+    """One Newton step: the residual's sup norm before it, the accepted
+    damping ``alpha`` (0 if no step was accepted), and the GMRES inner
+    iteration count and flag of its linear solve."""
+
+    residual: float
+    alpha: float
+    gmres_iterations: int
+    gmres_info: int
+
+
+@dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a profile solve."""
+    """Outcome of a profile solve, with one :class:`NewtonStep` per Newton step."""
 
     solution: GridFunction
     residual_norm: float
     iterations: int
     converged: bool
     trivial: bool
+    history: tuple[NewtonStep, ...] = ()
 
     def as_metadata(self) -> dict:
         return {
@@ -66,6 +88,13 @@ class SolveReport:
 
 def _odd_power(w, p):
     return np.sign(w) * np.abs(w) ** p
+
+
+def _failure(cls, message, history):
+    """``cls(message)`` carrying the Newton history up to the failure as ``.history``."""
+    err = cls(message)
+    err.history = tuple(history)
+    return err
 
 
 def solve_profile(
@@ -81,8 +110,20 @@ def solve_profile(
     MAX_HALVINGS times before DivergenceError; steps that push the
     iterate significantly negative are halved up to NEGATIVITY_RETRIES
     times before NegativityError.  A GMRES solve that returns a nonzero
-    flag raises DivergenceError.  A guess that is identically zero (or
-    an iterate collapsing to zero) converges with the trivial flag set.
+    flag raises DivergenceError.  Both errors carry the Newton steps
+    taken so far, the failing one last, as ``.history``.  A guess that
+    is identically zero (or an iterate collapsing to zero) converges
+    with the trivial flag set.
+
+    GMRES is preconditioned by ``(Theta_0 - kappa)^(-1)``, built once per
+    solve.  It is bounded for every accepted ``0 <= kappa < Lambda``:
+    with ``Theta_0(xi) = 2^(2 gamma) |Gamma(A + i xi/2)|^2 / |Gamma(B + i xi/2)|^2``,
+    ``A > B > 0``, the product form of Gamma gives on real frequencies
+
+        d/dxi log Theta_0 = sum_k xi [1/((B+k)^2 + xi^2/4) - 1/((A+k)^2 + xi^2/4)] / 2,
+
+    which has the sign of ``xi``.  So ``Theta_0`` is smallest at
+    ``xi = 0``, where it is ``Lambda``, and ``Theta_0 - kappa >= Lambda - kappa > 0``.
     """
     if not 0.0 <= params.kappa < params.lam:
         raise ValidationError(
@@ -117,6 +158,7 @@ def solve_profile(
     xi = angular_frequencies(n, initial_guess.step)
     sym_vals = theta(params, 0, xi).real - params.kappa
     sym_op = real_circulant(sym_vals)
+    pre = LinearOperator((n, n), matvec=real_circulant(1.0 / sym_vals), dtype=np.float64)
     gmres_atol = GMRES_FLOOR * tolerance
 
     def residual(v):
@@ -124,29 +166,33 @@ def solve_profile(
 
     r = residual(w)
     rnorm = float(np.max(np.abs(r)))
-    iterations = 0
+    history = []
     while rnorm > tolerance:
-        if iterations >= max_iterations:
-            raise DivergenceError(
-                f"residual {rnorm:.3e} above tolerance after {iterations} iterations"
+        if len(history) >= max_iterations:
+            raise _failure(
+                DivergenceError,
+                f"residual {rnorm:.3e} above tolerance after {len(history)} iterations",
+                history,
             )
+        step = len(history) + 1
         pot = p * np.abs(w) ** (p - 1.0)
-        shift = 1.0 + float(np.max(pot))
 
         def matvec(v):
             return sym_op(v) - pot * v
 
         op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-        pre = LinearOperator(
-            (n, n), matvec=real_circulant(1.0 / (sym_vals + shift)), dtype=np.float64
-        )
+        krylov = []
         delta, info = gmres(
-            op, r, M=pre, restart=60, maxiter=300, atol=gmres_atol, rtol=1e-10
+            op, r, M=pre, restart=60, maxiter=300, atol=gmres_atol, rtol=1e-10,
+            callback=krylov.append, callback_type="pr_norm",
         )
         if info != 0:
-            raise DivergenceError(
-                f"GMRES returned info = {info} at Newton step {iterations + 1}, "
-                f"right-hand side sup norm {rnorm:.3e}"
+            history.append(NewtonStep(rnorm, 0.0, len(krylov), info))
+            raise _failure(
+                DivergenceError,
+                f"GMRES returned info = {info} at Newton step {step}, "
+                f"right-hand side sup norm {rnorm:.3e}",
+                history,
             )
 
         alpha, accepted, neg_left = 1.0, False, NEGATIVITY_RETRIES
@@ -157,8 +203,9 @@ def solve_profile(
             scale = max(float(np.max(np.abs(cand))), 1e-300)
             if float(np.min(cand)) < -1e-8 * scale:
                 if neg_left == 0:
-                    raise NegativityError(
-                        f"iterate lost positivity at iteration {iterations + 1}"
+                    history.append(NewtonStep(rnorm, 0.0, len(krylov), info))
+                    raise _failure(
+                        NegativityError, f"iterate lost positivity at iteration {step}", history
                     )
                 neg_left -= 1
                 alpha *= 0.5
@@ -166,20 +213,22 @@ def solve_profile(
             rc = residual(cand)
             rcn = float(np.max(np.abs(rc)))
             if rcn < rnorm:
-                w, r, rnorm, accepted = cand, rc, rcn, True
+                accepted = True
                 break
             alpha *= 0.5
+        history.append(NewtonStep(rnorm, alpha if accepted else 0.0, len(krylov), info))
         if not accepted:
-            raise DivergenceError(
-                f"residual stalled at {rnorm:.3e} after iteration {iterations + 1}"
+            raise _failure(
+                DivergenceError, f"residual stalled at {rnorm:.3e} after iteration {step}", history
             )
-        iterations += 1
+        w, r, rnorm = cand, rc, rcn
 
     peak = float(np.max(np.abs(w)))
     return SolveReport(
         solution=initial_guess.with_samples(w + 0j),
         residual_norm=rnorm,
-        iterations=iterations,
+        iterations=len(history),
         converged=True,
         trivial=peak <= 1e-10 * peak0,
+        history=tuple(history),
     )

@@ -199,8 +199,8 @@ def frobenius_fit(
     """Fit the leading decaying term of a profile tail.
 
     The default window runs from the first to the last tail sample of
-    :func:`grid.tail_mask`: right of the peak, between 1e-13 and 1e-3
-    of it.  The candidate rates are the given roots' ``(sigma, tau)``
+    :func:`grid.tail_mask`: where the tail's envelope lies between 1e-13
+    and 1e-3 of the peak.  The candidate rates are the given roots' ``(sigma, tau)``
     pairs, or without roots the decaying rates that the matrix pencil
     finds in the window (:func:`_pencil_rates`).  The candidate whose
     single term fits the window best by linear least squares is the

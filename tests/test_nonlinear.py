@@ -5,7 +5,7 @@ import pytest
 
 import cylspec.nonlinear
 from cylspec.errors import DivergenceError, NegativityError, ValidationError
-from cylspec.grid import GridFunction
+from cylspec.grid import GridFunction, tail_mask
 from cylspec.identities import pohozaev_check
 from cylspec.nonlinear import solve_profile
 from cylspec.profiles import bubble, frobenius_fit
@@ -16,6 +16,15 @@ SIGMA0_K03 = 0.76091823639160877
 
 def _grid(fun, step=2.0**-7):
     return GridFunction.from_callable(lambda t: fun(t) + 0j, -30.0, 30.0, step)
+
+
+def _perturbed_bubble(params, eps, f, step=2.0**-7):
+    """The scaled bubble times ``1 + eps cos(f t) exp(-t^2/18)``."""
+    c = (params.lam - params.kappa) ** (1.0 / (params.p - 1.0))
+    return _grid(
+        lambda t: c * bubble(params, t) * (1.0 + eps * np.cos(f * t) * np.exp(-t * t / 18.0)),
+        step,
+    )
 
 
 def test_recovers_scaled_bubble_from_perturbed_guess():
@@ -76,14 +85,20 @@ def test_grid_refinement_consistency():
 
 def test_iteration_cap_raises():
     params = CylinderParams(n=3, gamma=0.5)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as failure:
         solve_profile(params, _grid(lambda t: 1.1 / np.cosh(t)), max_iterations=1)
+    (step,) = failure.value.history
+    assert step.alpha > 0.0 and step.gmres_info == 0 and step.gmres_iterations > 0
 
 
 def test_positivity_loss_raises():
     params = CylinderParams(n=3, gamma=0.5)
-    with pytest.raises(NegativityError):
+    with pytest.raises(NegativityError) as failure:
         solve_profile(params, _grid(lambda t: 0.02 * np.exp(-0.5 * t**2)))
+    history = failure.value.history
+    # the failing step is last, with no step accepted
+    assert history and history[-1].alpha == 0.0 and history[-1].gmres_info == 0
+    assert all(step.alpha > 0.0 for step in history[:-1])
 
 
 def test_precondition_validation():
@@ -101,8 +116,20 @@ def test_report_metadata_roundtrip():
     params = CylinderParams(n=3, gamma=0.5)
     report = solve_profile(params, _grid(lambda t: 1.1 / np.cosh(t)))
     meta = report.as_metadata()
+    assert set(meta) == {"residual_norm", "iterations", "converged", "trivial"}
     assert meta["converged"] is True and meta["trivial"] is False
     assert meta["iterations"] == report.iterations
+
+
+def test_history_records_every_newton_step():
+    params = CylinderParams(n=3, gamma=0.5)
+    report = solve_profile(params, _grid(lambda t: 1.1 / np.cosh(t)))
+    history = report.history
+    assert len(history) == report.iterations >= 2
+    residuals = [step.residual for step in history] + [report.residual_norm]
+    assert all(a > b for a, b in zip(residuals, residuals[1:]))
+    assert all(step.gmres_info == 0 and step.gmres_iterations > 0 for step in history)
+    assert all(0.0 < step.alpha <= 1.0 for step in history)
 
 
 def test_gmres_flag_is_raised(monkeypatch):
@@ -111,52 +138,60 @@ def test_gmres_flag_is_raised(monkeypatch):
 
     monkeypatch.setattr(cylspec.nonlinear, "gmres", failing_gmres)
     params = CylinderParams(n=3, gamma=0.5)
-    with pytest.raises(DivergenceError, match="info = 1 at Newton step 1"):
+    with pytest.raises(DivergenceError, match="info = 1 at Newton step 1") as failure:
         solve_profile(params, _grid(lambda t: 1.1 / np.cosh(t)))
+    (step,) = failure.value.history
+    assert (step.alpha, step.gmres_iterations, step.gmres_info) == (0.0, 0, 1)
+    assert step.residual > 1e-3
 
 
-@pytest.fixture(scope="module")
-def stall_guess_solve():
-    """(4, 0.75, 0) from a guess whose last GMRES call once ran all restarts.
-
-    Returns the report and the GMRES flag of every Newton step.
-    """
+@pytest.mark.parametrize("step", [2.0**-7, 2.0**-8], ids=["7681", "15361"])
+@pytest.mark.parametrize(
+    "eps, f, newton_steps", [(0.05, 0.5, 4), (0.05, 1.0, 4), (0.05, 1.5, 4), (0.25, 1.0, 5)]
+)
+def test_gmres_floor_ends_the_stall(eps, f, newton_steps, step):
+    # Guesses near the one from which a GMRES call of (4, 0.75, 0) once
+    # ran all its restarts: a relative 1e-10 on a right-hand side near the
+    # Newton tolerance asked for less than one product's round-off.
     params = CylinderParams(n=4, gamma=0.75)
-    c = params.lam ** (1.0 / (params.p - 1.0))
-    guess = _grid(
-        lambda t: c
-        * bubble(params, t)
-        * (1.0 + 0.05 * np.cos(0.5 * t) * np.exp(-t * t / 18.0))
-    )
-    flags = []
-    real_gmres = cylspec.nonlinear.gmres
-
-    def spy(*args, **kwargs):
-        delta, info = real_gmres(*args, **kwargs)
-        flags.append(info)
-        return delta, info
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cylspec.nonlinear, "gmres", spy)
-        report = solve_profile(params, guess)
-    return params, report, flags
-
-
-def test_gmres_floor_ends_the_stall(stall_guess_solve):
-    _, report, flags = stall_guess_solve
+    report = solve_profile(params, _perturbed_bubble(params, eps, f, step))
     assert report.converged and report.residual_norm <= 1e-10
-    assert report.iterations == 4
-    assert flags == [0, 0, 0, 0]
+    assert report.iterations == newton_steps
+    assert [h.gmres_info for h in report.history] == [0] * newton_steps
 
 
-def test_solved_tail_is_clean(stall_guess_solve):
+@pytest.mark.parametrize("n, gamma, kappa", [(3, 0.5, 0.3), (4, 0.75, 0.0)])
+@pytest.mark.parametrize("eps, f", [(0.10, 0.5), (0.13, 0.75), (0.16, 1.0)])
+def test_free_preconditioner_krylov_counts(n, gamma, kappa, eps, f):
+    # Preconditioned by (Theta_0 - kappa)^-1, the linearization is the
+    # identity plus a compact term: few GMRES iterations per Newton step
+    # (17-46 under the shifted preconditioner), and as many on the refined
+    # grid as on the default one.
+    params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
+    counts = []
+    for step in (2.0**-7, 2.0**-8):
+        report = solve_profile(params, _perturbed_bubble(params, eps, f, step))
+        counts.append([h.gmres_iterations for h in report.history])
+    assert len(counts[0]) == len(counts[1])
+    assert max(counts[0] + counts[1]) <= 15
+    assert all(abs(a - b) <= 2 for a, b in zip(*counts))
+
+
+def test_solved_tail_is_clean():
     # Round-off in the residual's product would sit in the tail, where
     # the energy identity measures the decay rate and the fit reads sigma.
-    params, report, _ = stall_guess_solve
+    params = CylinderParams(n=4, gamma=0.75)
+    report = solve_profile(params, _perturbed_bubble(params, 0.05, 0.5))
     assert pohozaev_check(params, report.solution).relative_spread <= 1e-3
     fit = frobenius_fit(report.solution)
     sigma0 = 0.5 * params.n - params.gamma
     assert abs(fit.sigma - sigma0) < 0.01 * sigma0
+    # the solved tail decreases, so selecting it on its envelope picks
+    # the samples that their own magnitudes pick
+    w = report.solution.samples.real
+    rel = np.abs(w) / np.max(np.abs(w))
+    own = (np.arange(w.size) > np.argmax(rel)) & (rel < 1e-3) & (rel > 1e-13)
+    assert np.array_equal(tail_mask(w)[0], own)
 
 
 @pytest.mark.parametrize("n, gamma", [(5, 0.25), (6, 0.9)])
@@ -164,11 +199,7 @@ def test_default_fit_window_follows_the_tail(n, gamma):
     # From this guess the solved tail is round-off on the last third of
     # the grid, so the default window has to be placed by magnitude.
     params = CylinderParams(n=n, gamma=gamma)
-    c = params.lam ** (1.0 / (params.p - 1.0))
-    guess = _grid(
-        lambda t: c * bubble(params, t) * (1.0 + 0.13 * np.cos(0.75 * t) * np.exp(-t * t / 18.0))
-    )
-    fit = frobenius_fit(solve_profile(params, guess).solution)
+    fit = frobenius_fit(solve_profile(params, _perturbed_bubble(params, 0.13, 0.75)).solution)
     sigma0 = 0.5 * n - gamma
     assert abs(fit.sigma - sigma0) <= 1e-6 * sigma0
     assert fit.tau == 0.0

@@ -183,6 +183,18 @@ def test_fit_oscillatory():
     assert abs(fit.amplitude_sin) < 1e-3
 
 
+def test_default_window_follows_the_envelope():
+    # The tail of criterion 12's wave enters the default window where its
+    # envelope falls below 1e-3 of the peak for good, not at its first
+    # zero crossing below that level (t = 1.875, envelope 0.18).
+    wave = _planted(lambda t: np.exp(-0.9 * np.abs(t)) * np.cos(2.3 * np.abs(t) + 0.4), -30.0, 30.0)
+    fit = frobenius_fit(wave)
+    assert 7.0 < fit.window[0] < 7.2
+    assert fit.window[1] == 30.0
+    assert np.max(np.abs(wave.samples[wave.t >= fit.window[0]])) < 1e-3
+    assert abs(fit.sigma - 0.9) < 1e-9 and abs(fit.tau - 2.3) < 1e-9
+
+
 def test_fit_guards():
     zero = _planted(lambda t: np.zeros_like(t))
     with pytest.raises(NoFitError):
