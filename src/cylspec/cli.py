@@ -136,28 +136,12 @@ def _job_symbol(cfg):
 
 def _job_poles(cfg):
     roots = find_roots(cfg.params, cfg.mode, count=cfg.extras["count"])
-    rows = []
-    listing = []
-    for root in roots:
-        rows.append(
-            (
-                str(root.index),
-                _FMT % root.sigma,
-                _FMT % root.tau,
-                _FMT % root.residue.real,
-                _FMT % root.residue.imag,
-            )
-        )
-        listing.append(
-            {
-                "index": root.index,
-                "sigma": root.sigma,
-                "tau": root.tau,
-                "residue_re": root.residue.real,
-                "residue_im": root.residue.imag,
-            }
-        )
     header = ("index", "sigma", "tau", "residue_re", "residue_im")
+    listing = [
+        dict(zip(header, (r.index, r.sigma, r.tau, r.residue.real, r.residue.imag)))
+        for r in roots
+    ]
+    rows = [(str(d["index"]),) + tuple(_FMT % d[k] for k in header[1:]) for d in listing]
     return JobResult(table=(header, rows), arrays={"roots": listing})
 
 
@@ -413,27 +397,23 @@ def _build_parser():
     return parser
 
 
+# The flags each subcommand adds to its config, by argparse destination.
+_EXTRAS = {
+    "symbol": ("xi",),
+    "poles": ("count",),
+    "solve-linear": ("source",),
+    "solve-profile": ("guess", "max_iterations"),
+    "pohozaev": ("input",),
+    "wronskian": ("source", "source_tilde"),
+    "frobenius": ("input", "window", "use_roots"),
+}
+
+
 def _resolve(args):
     params = CylinderParams(n=args.n, gamma=args.gamma, p=args.p, kappa=args.kappa)
-    extras = {}
-    if args.command == "symbol":
-        extras["xi"] = [float(x) for x in args.xi]
-    elif args.command == "poles":
-        extras["count"] = args.count if args.count is not None else args.truncation
-    elif args.command == "solve-linear":
-        extras["source"] = args.source
-    elif args.command == "solve-profile":
-        extras["guess"] = args.guess
-        extras["max_iterations"] = args.max_iterations
-    elif args.command == "pohozaev":
-        extras["input"] = args.input
-    elif args.command == "wronskian":
-        extras["source"] = args.source
-        extras["source_tilde"] = args.source_tilde
-    elif args.command == "frobenius":
-        extras["input"] = args.input
-        extras["window"] = list(args.window) if args.window else None
-        extras["use_roots"] = bool(args.use_roots)
+    extras = {name: getattr(args, name) for name in _EXTRAS.get(args.command, ())}
+    if args.command == "poles" and args.count is None:
+        extras["count"] = args.truncation
     return JobConfig(
         command=args.command,
         params=params,

@@ -17,8 +17,9 @@ the real pair.
 
 Two independent routes to the same objects live here on purpose: the
 series against direct oscillatory quadrature of the Fourier integral,
-and the one-shot convolution against the per-root ODE-system
-reassembly.  Tests hold them against each other.
+and the one-shot FFT convolution against the per-root
+variation-of-constants sweeps, reassembled.  Tests hold them against
+each other.
 """
 
 from __future__ import annotations
@@ -204,78 +205,102 @@ def _euler_limit(partial):
     return best, abs(best - prev)
 
 
-def _difference_kernel(fun, h):
-    """Kernel sampled on the doubled difference lattice of h's grid."""
-    n = h.n_points
-    lag = (np.arange(2 * n - 1) - (n - 1)) * h.step
-    return fun(lag)
-
-
-def _convolve_on_grid(kernel, h, spectra=None):
-    """Trapezoid discrete convolution, kernel on the doubled lattice.
-
-    A source with zero imaginary part is passed as real, so a real
-    kernel convolves by real transforms.  ``spectra``, a dict passed
-    again with the same ``h``, keeps the weighted source's transforms.
-    """
-    n = h.n_points
-    src = h.samples if h.samples.imag.any() else h.samples.real
-    full = fftconvolve(kernel, src * trapezoid_weights(n), spectra)
-    return full[n - 1 : 2 * n - 1] * h.step
-
-
 def solve_convolution(greens, h, threshold=1e-10):
-    """Particular solution of (Theta_m(D) - kappa) w = h as G * h."""
+    """Particular solution of (Theta_m(D) - kappa) w = h as G * h, by FFT convolution."""
     h.require_decay(threshold)
-    if np.max(np.abs(h.samples.imag)) == 0.0:
-        kernel = _difference_kernel(greens, h)
-        return h.with_samples(_convolve_on_grid(kernel, h))
-    re = solve_convolution(greens, h.with_samples(h.samples.real + 0j), threshold)
-    im = solve_convolution(greens, h.with_samples(h.samples.imag + 0j), threshold)
-    return h.with_samples(re.samples + 1j * im.samples)
+    if np.max(np.abs(h.samples.imag)) != 0.0:
+        re = solve_convolution(greens, h.with_samples(h.samples.real + 0j), threshold)
+        im = solve_convolution(greens, h.with_samples(h.samples.imag + 0j), threshold)
+        return h.with_samples(re.samples + 1j * im.samples)
+    n = h.n_points
+    kernel = greens((np.arange(2 * n - 1) - (n - 1)) * h.step)
+    full = fftconvolve(kernel, h.samples.real * trapezoid_weights(n))
+    return h.with_samples(full[n - 1 : 2 * n - 1] * h.step)
+
+
+_BLOCK = 32  # lattice points per block of the sweeps
+_LAG = np.abs(np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)))  # |i - k| in a block
+
+
+def _geometric_scan(x, log_r):
+    """One-sided sweep ``out[j, i] = sum_{k<=i} r_j^(i-k) x[j, k]``, ``r_j = e^{log_r[j]}``.
+
+    All ``|r_j| <= 1``.  Each block is one product with the triangular
+    powers ``r_j^(i - k)``, plus the previous block's last value times
+    ``r_j^(i + 1)``: the same scan of the block ends at ratio ``r_j^_BLOCK``.
+    """
+    n, blocks = x.shape[-1], -(-x.shape[-1] // _BLOCK)
+    powers = np.exp(log_r[:, None] * np.arange(_BLOCK + 1))
+    x_blocks = np.pad(x, ((0, 0), (0, -n % _BLOCK))).reshape(len(x), blocks, _BLOCK)
+    out = x_blocks @ np.triu(powers[:, _LAG])  # [j, k, i] = r_j^(i - k) for i >= k
+    if blocks > 1:
+        ends = _geometric_scan(out[:, :, -1], _BLOCK * log_r)
+        out[:, 1:, :] += ends[:, :-1, None] * powers[:, None, 1:]
+    return out.reshape(len(x), blocks * _BLOCK)[:, :n]
+
+
+def _two_sided_sweep(u, log_r):
+    """``out[j, i] = sum_k r_j^|i - k| u[k]``: the left sweep plus the right one, less u.
+
+    In a block both are one product with the powers ``r_j^|i - k|``.  The
+    left sweep enters from the previous block's end, times ``r_j^(i + 1)``,
+    the right one from the next block's start, times ``r_j^(_BLOCK - i)``;
+    both end values are :func:`_geometric_scan` of the blocks' own sums.
+    """
+    u_blocks = np.pad(u, (0, -u.size % _BLOCK)).reshape(-1, _BLOCK)
+    powers = np.exp(log_r[:, None] * np.arange(_BLOCK + 1))
+    out = u_blocks @ powers[:, _LAG]
+    last = _geometric_scan((u_blocks @ powers[:, _BLOCK - 1 :: -1].T).T, _BLOCK * log_r)
+    first = _geometric_scan((u_blocks[::-1] @ powers[:, :_BLOCK].T).T, _BLOCK * log_r)
+    carry = np.zeros(out.shape[:2] + (2,), dtype=np.complex128)
+    carry[:, 1:, 0] = last[:, :-1]
+    carry[:, :-1, 1] = first[:, -2::-1]
+    out += carry @ np.stack([powers[:, 1:], powers[:, :0:-1]], axis=1)
+    return out.reshape(log_r.size, u_blocks.size)[:, : u.size]
 
 
 def component_solutions(greens, h, threshold=1e-10):
-    """Per-root particular solutions w_j = k_j * h on h's grid.
+    """Per-root particular solutions w_j = k_j * h on h's grid, by variation of constants.
 
-    Axis and complex roots use the complex kernel ``e^{-(sigma + i tau)
-    |t|}``, so each w_j solves ``w_j'' - lambda_j^2 w_j = -2 lambda_j h``
-    with ``lambda_j = sigma_j + i tau_j``; the real-pair root of the
-    unstable regime uses the one-sided kernel ``sin(tau_0 t) chi_{t<0}``
-    and solves ``w_0'' + tau_0^2 w_0 = -tau_0 h``.
+    Axis and complex roots have the kernel ``e^{-lambda_j |t|}``,
+    ``lambda_j = sigma_j + i tau_j``, and w_j solves ``w_j'' - lambda_j^2
+    w_j = -2 lambda_j h``; the unstable real pair has ``sin(tau_0 t)
+    chi_{t<0}`` and solves ``w_0'' + tau_0^2 w_0 = -tau_0 h``.  With ``u``
+    the trapezoid-weighted source and ``r = e^{-lambda_j step}``, ``w_j =
+    L + R - u`` for the sweeps ``L[i] = r L[i-1] + u[i]`` and ``R[i] = r
+    R[i+1] + u[i]``; the sine component is ``(R(e^{-i tau_0 step}) -
+    R(e^{i tau_0 step})) / 2i``.  This is the trapezoid convolution of
+    :func:`solve_convolution`, but no power of ``r`` exceeds 1 in modulus,
+    so the round-off is relative to the local size of ``|k_j| * |u|`` (for
+    the sine, of ``|u|`` summed to the right), not to the peak.  All roots
+    sweep together, in numpy alone.
     """
     h.require_decay(threshold)
-    out = []
-    spectra = {}  # the weighted source's transforms, shared by every root
-    for root in greens.roots:
-        if root.sigma == 0.0:
-            fun = lambda lag, tau=root.tau: np.sin(tau * lag) * (lag < 0.0)
-        else:
-            lam = complex(root.sigma, root.tau)
-            fun = lambda lag, lam=lam: np.exp(-lam * np.abs(lag))
-        kernel = _difference_kernel(fun, h)
-        out.append(h.with_samples(_convolve_on_grid(kernel, h, spectra)))
+    u = h.samples * (h.step * trapezoid_weights(h.n_points))
+    roots = greens.roots
+    sine = roots[0].sigma == 0.0  # the unstable regime's real pair comes first
+    lams = np.array([complex(r.sigma, r.tau) for r in roots[int(sine) :]], dtype=complex)
+    out = [h.with_samples(w) for w in _two_sided_sweep(u, -h.step * lams)]
+    if sine:
+        pair = 1j * h.step * roots[0].tau * np.array([-1.0, 1.0])
+        right = _geometric_scan(np.stack([u[::-1]] * 2), pair)[:, ::-1]
+        out.insert(0, h.with_samples((right[0] - right[1]) / 2j))
     return out
 
 
 def solve_ode_system(greens, h, threshold=1e-10):
     """Reassembled solution Re sum_j (c_j + i c'_j) w_j.
 
-    Identical quadrature to :func:`solve_convolution` term by term, so
-    the two agree to round-off; kept separate because the components
-    are what the Wronskian machinery consumes.
+    The quadrature of :func:`solve_convolution`, reached by the per-root
+    sweeps instead of one FFT, so the two agree to round-off; the
+    components are what the Wronskian machinery consumes.
     """
     if np.max(np.abs(h.samples.imag)) != 0.0:
         re = solve_ode_system(greens, h.with_samples(h.samples.real + 0j), threshold)
         im = solve_ode_system(greens, h.with_samples(h.samples.imag + 0j), threshold)
         return h.with_samples(re.samples + 1j * im.samples)
     comps = component_solutions(greens, h, threshold)
-    acc = np.zeros(h.n_points, dtype=np.complex128)
-    for root, (c, cp), wj in zip(greens.roots, greens.coefficients, comps):
-        if root.sigma == 0.0:
-            acc = acc + c * wj.samples  # already real-kernel component
-        else:
-            acc = acc + complex(c, cp) * wj.samples
+    acc = sum(g * w.samples for g, w in zip(greens.gamma_coefficients, comps))
     return h.with_samples(acc.real + 0j)
 
 

@@ -85,29 +85,20 @@ def _spectrum(x, m):
     return np.concatenate([half, np.conj(half[1 : m - half.size + 1][::-1])])
 
 
-def fftconvolve(a, b, b_spectra=None):
+def fftconvolve(a, b):
     """Full linear convolution of two 1-d arrays at ``scipy.fft.next_fast_len``.
 
     Same padding and transforms as ``scipy.signal.fftconvolve``: real
-    ones for two real inputs, complex ones otherwise.  ``b_spectra``, a
-    dict passed again with the same ``b``, keeps b's transforms between
-    calls.
+    ones for two real inputs, complex ones otherwise.
     """
     from scipy.fft import next_fast_len
 
     n = a.size + b.size - 1
-    spectra = {} if b_spectra is None else b_spectra
-
-    def of_b(transform, m):
-        if (transform, m) not in spectra:
-            spectra[transform, m] = transform(b, m)
-        return spectra[transform, m]
-
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         m = next_fast_len(n)
-        return np.fft.ifft(_spectrum(a, m) * of_b(_spectrum, m))[:n]
+        return np.fft.ifft(_spectrum(a, m) * _spectrum(b, m))[:n]
     m = next_fast_len(n, real=True)
-    return np.fft.irfft(np.fft.rfft(a, m) * of_b(np.fft.rfft, m), m)[:n]
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
 
 
 def trapezoid_weights(n):
@@ -144,7 +135,9 @@ def tail_mask(samples):
 def tail_rate(samples, t):
     """Decay rate at +infinity from a log-linear fit to the :func:`tail_mask` samples.
 
-    With fewer than 8 of them the rate is ``inf`` if the last sample is
+    A real tail that changes sign is fitted at the local maxima of its
+    magnitude, as samples near its zeros would pull the rate down.  With
+    fewer than 8 tail samples the rate is ``inf`` if the last sample is
     below TAIL_FLOOR of the peak (a numerically zero tail).
     """
     sel, rel = tail_mask(samples)
@@ -152,7 +145,12 @@ def tail_rate(samples, t):
         if rel[-1] < TAIL_FLOOR:
             return math.inf
         raise DecayHypothesisError("too few tail samples to measure a decay rate")
-    return -np.polyfit(t[sel], np.log(np.abs(samples[sel])), 1)[0]
+    t, tail, mag = t[sel], samples[sel], np.abs(samples[sel])
+    if not np.any(np.imag(tail)) and np.any(tail.real > 0) and np.any(tail.real < 0):
+        peaks = np.flatnonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] > mag[2:])) + 1
+        if peaks.size >= 2:
+            t, mag = t[peaks], mag[peaks]
+    return -np.polyfit(t, np.log(mag), 1)[0]
 
 
 def write_csv(fh, header, rows, metadata=None):

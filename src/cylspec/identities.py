@@ -53,9 +53,7 @@ def _gammas_lambdas(series):
 def _check_consistency(series, w, h, label):
     comps = component_solutions(series, h)
     gammas, _ = _gammas_lambdas(series)
-    acc = np.zeros(h.n_points, dtype=np.complex128)
-    for g, comp in zip(gammas, comps):
-        acc += g * comp.samples
+    acc = sum(g * comp.samples for g, comp in zip(gammas, comps))
     scale = max(float(np.max(np.abs(w.samples))), 1e-300)
     if float(np.max(np.abs(acc.real - w.samples.real))) > _CONSISTENCY_TOL * scale:
         raise ValidationError(
@@ -150,13 +148,12 @@ def _axis_inverse_derivatives(params):
     def fourth(hh):
         return (q(2 * hh) - 4 * q(hh) + 6 * q0 - 4 * q(-hh) + q(-2 * hh)) / hh**4
 
-    a1, a2, a3 = second(h), second(h / 2), second(h / 4)
-    r1, r2 = (4 * a2 - a1) / 3, (4 * a3 - a2) / 3
-    q2 = (16 * r2 - r1) / 15
-    b1, b2, b3 = fourth(h), fourth(h / 2), fourth(h / 4)
-    s1, s2 = (4 * b2 - b1) / 3, (4 * b3 - b2) / 3
-    q4 = (16 * s2 - s1) / 15
-    return q0, q2, q4
+    def richardson(stencil):
+        a1, a2, a3 = stencil(h), stencil(h / 2), stencil(h / 4)
+        r1, r2 = (4 * a2 - a1) / 3, (4 * a3 - a2) / 3
+        return (16 * r2 - r1) / 15
+
+    return q0, richardson(second), richardson(fourth)
 
 
 def pohozaev_check(

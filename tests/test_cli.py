@@ -333,7 +333,8 @@ def test_grid_csv_matches_cli_body(tmp_path):
 
 def test_import_leaves_scipy_signal_unloaded():
     # `import cylspec` loads numpy and scipy.special; the rest of scipy
-    # loads in the call that needs it, and the tail fit needs none of it.
+    # loads in the call that needs it, and neither the tail fit nor the
+    # Pohozaev check needs any of it.
     code = textwrap.dedent(
         """
         import sys
@@ -348,6 +349,14 @@ def test_import_leaves_scipy_signal_unloaded():
         fit = cylspec.frobenius_fit(w)
         assert abs(fit.sigma - 0.8) < 1e-6 and abs(fit.tau - 1.7) < 1e-6
         assert "scipy.optimize" not in sys.modules
+        # The per-root components are numpy sweeps, not FFT convolutions.
+        params = cylspec.CylinderParams(n=3, gamma=0.5)
+        scale = cylspec.cylinder_constant(params)
+        bubble = cylspec.GridFunction.from_callable(
+            lambda t: scale * cylspec.bubble(params, t) + 0j
+        )
+        cylspec.pohozaev_check(params, bubble)
+        assert "scipy.fft" not in sys.modules
         """
     )
     _, env = _entry_point()

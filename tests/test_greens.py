@@ -21,7 +21,7 @@ from cylspec.greens import (
     solve_convolution,
     solve_ode_system,
 )
-from cylspec.grid import GridFunction
+from cylspec.grid import GridFunction, fftconvolve, trapezoid_weights
 from cylspec.symbol import CylinderParams
 
 # Frozen 30-digit oscillatory-quadrature values of the inverse Fourier
@@ -200,6 +200,96 @@ def test_unstable_component_ode():
     lap = (w[2:] - 2 * w[1:-1] + w[:-2]) / step**2
     resid = lap + tau0**2 * w[1:-1] + tau0 * h.samples.real[1:-1]
     assert np.max(np.abs(resid)) <= 1e-3
+
+
+def _direct_components(series, h):
+    """Per-root trapezoid convolutions summed term by term, O(n^2), with
+    the local size that bounds the sweep's round-off: ``|kernel| * |u|``,
+    and for the sine kernel the source's mass ``|u|`` to the right."""
+    u = h.step * trapezoid_weights(h.n_points) * h.samples
+    lag = h.t[:, None] - h.t[None, :]
+    out = []
+    for root in series.roots:
+        if root.sigma == 0.0:
+            kernel = np.sin(root.tau * lag) * (lag < 0.0)
+            size = lag <= 0.0
+        else:
+            kernel = np.exp(-complex(root.sigma, root.tau) * np.abs(lag))
+            size = np.abs(kernel)
+        out.append((kernel @ u, size @ np.abs(u)))
+    return out
+
+
+# (points, step): fewer points than a block, sizes off a multiple of the
+# block, and step 1, where sigma_j * step passes 20 and block powers underflow.
+SWEEP_LATTICES = [(7, 0.5), (31, 0.125), (33, 1.0), (481, 2.0**-5)]
+P00 = CylinderParams(n=3, gamma=0.5)
+
+
+@pytest.mark.parametrize("points, step", SWEEP_LATTICES)
+@pytest.mark.parametrize("params", [P03, P00, P08], ids=["stable", "zero", "unstable"])
+def test_component_sweep_matches_direct_sum(params, points, step):
+    series = build_greens(params, mode=0, truncation=12)
+    half = 0.5 * step * (points - 1)
+    env = lambda t: np.exp(-25.0 * (t / half) ** 2)  # 1.4e-11 at the ends
+    real = GridFunction.from_callable(
+        lambda t: env(t) * (1.0 + 0.3 * np.cos(2.0 * t)) + 0j, -half, half, step
+    )
+    cplx = real.with_samples(real.samples + 0.5j * env(real.t) * np.sin(real.t + 0.2))
+    if points == 33:
+        assert series.roots[-1].sigma * step > 20.0
+    for h in (real, cplx):
+        for got, (want, local) in zip(
+            component_solutions(series, h), _direct_components(series, h)
+        ):
+            err = np.abs(got.samples - want)
+            assert np.max(err) <= 1e-13 * np.max(np.abs(want))
+            # Round-off relative to the local size, so decaying tails keep their digits.
+            assert np.all(err <= 1e-13 * local + 1e-300)
+
+
+@pytest.mark.parametrize("params", [P03, P08], ids=["stable", "unstable"])
+def test_component_sweep_single_root(params):
+    # Truncation 0: one decaying root, or only the unstable real pair.
+    series = build_greens(params, mode=0, truncation=0)
+    h = GridFunction.from_callable(lambda t: np.exp(-0.5 * t**2) + 0j, -8.0, 8.0, 0.125)
+    (got,) = component_solutions(series, h)
+    ((want, _),) = _direct_components(series, h)
+    assert np.max(np.abs(got.samples - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# The benchmark's spectral sweep: (n, gamma, kappa, mode).
+SWEEP_CASES = [
+    (2, 0.10, 0.30, 0),
+    (3, 0.50, 0.30, 0),
+    (5, 0.25, 0.20, 2),
+    (6, 0.90, 0.50, 3),
+    (4, 0.60, 0.00, 1),
+    (2, 0.90, 0.00, 0),
+    (3, 0.50, 1.00, 0),
+    (4, 0.40, 3.50, 2),
+]
+
+
+def test_component_sweep_matches_fft_route_on_prime_lattice():
+    # The per-root FFT convolution on the default 7681-point lattice.
+    h = GridFunction.from_callable(
+        lambda t: 1.2 * np.exp(-0.5 * ((t - 1.1) / 0.7) ** 2)
+        + 0.6 * np.exp(-0.5 * ((t + 2.3) / 1.3) ** 2)
+        + 0j
+    )
+    n = h.n_points
+    lag = (np.arange(2 * n - 1) - (n - 1)) * h.step
+    u = h.samples.real * trapezoid_weights(n)
+    for n_dim, gamma, kappa, mode in SWEEP_CASES:
+        series = build_greens(CylinderParams(n=n_dim, gamma=gamma, kappa=kappa), mode, 12)
+        for root, got in zip(series.roots, component_solutions(series, h)):
+            if root.sigma == 0.0:
+                kernel = np.sin(root.tau * lag) * (lag < 0.0)
+            else:
+                kernel = np.exp(-complex(root.sigma, root.tau) * np.abs(lag))
+            want = fftconvolve(kernel, u)[n - 1 : 2 * n - 1] * h.step
+            assert np.max(np.abs(got.samples - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_operator_recovers_rhs():

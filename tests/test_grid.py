@@ -142,3 +142,15 @@ def test_tail_rate():
     # A tail that never falls to 1e-3 of the peak cannot be measured.
     with pytest.raises(DecayHypothesisError):
         tail_rate(np.exp(-0.1 * np.abs(t)), t)
+
+
+def test_tail_rate_oscillating_and_one_signed():
+    t = np.linspace(-30.0, 30.0, 7681)
+    # Criterion 12's planted wave: fitted at the maxima of |w|, not at its zeros.
+    wave = np.exp(-0.9 * np.abs(t)) * np.cos(2.3 * np.abs(t) + 0.4)
+    assert abs(tail_rate(wave, t) - 0.9) < 1e-3
+    assert tail_rate(wave + 0j, t) == tail_rate(wave, t)
+    # A tail of one sign keeps the fit over every tail sample, bit for bit.
+    positive = 1.0 / np.cosh(1.5 * t) ** 1.5
+    sel, _ = tail_mask(positive)
+    assert tail_rate(positive, t) == -np.polyfit(t[sel], np.log(positive[sel]), 1)[0]
