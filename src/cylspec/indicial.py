@@ -367,10 +367,11 @@ def residue_at(params, mode, root):
     """Residue of 1/(Theta_m - kappa) at the root: 1/Theta_m'(z).
 
     Simple poles only; a derivative smaller than ``1e-10`` in magnitude
-    is reported as :class:`DegenerateRootError`.  Conjugate symmetry
-    forces the residue purely imaginary on the imaginary axis and purely
-    real on the real axis, and the returned value satisfies that
-    exactly.
+    (``1e-10 / |z|`` beyond ``|z| = 1``, since ``Theta_m`` grows like
+    ``|z|^(2 gamma)``) is reported as :class:`DegenerateRootError`.
+    Conjugate symmetry forces the residue purely imaginary on the
+    imaginary axis and purely real on the real axis, and the returned
+    value satisfies that exactly.
     """
     d = complex(theta_derivative(params, mode, root.z))
     return _residue(root.sigma, root.tau, d)
@@ -378,7 +379,7 @@ def residue_at(params, mode, root):
 
 def _residue(sigma, tau, d):
     """``1/d`` at the pole ``tau + i sigma``, with the symmetry made exact."""
-    if abs(d) < DEGENERATE_TOL:
+    if abs(d) * max(1.0, abs(complex(tau, sigma))) < DEGENERATE_TOL:
         raise DegenerateRootError(
             f"|Theta'| = {abs(d):.3e} at z = {complex(tau, sigma)}; root is not simple"
         )

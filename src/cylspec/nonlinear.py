@@ -4,25 +4,24 @@ The equation is the multiplier form of the profile problem,
 ``(Theta_0(D) - kappa) w = w^p``: the symbol acts spectrally on the
 grid and the power nonlinearity acts pointwise.  Each Newton
 linearization ``Theta_0 - kappa - p w^(p-1)`` is the free operator plus
-a localized potential, so GMRES is preconditioned by the exact inverse
-of the free operator, ``(Theta_0 - kappa)^(-1)``, built once per solve.
-It is bounded by ``1/(Lambda - kappa)``, because ``Theta_0`` increases
-in ``|xi|`` from ``Theta_0(0) = Lambda`` (derived in
-:func:`solve_profile`).  The preconditioned operator
-``I - (Theta_0 - kappa)^(-1) p w^(p-1)`` is the identity plus a compact
-term, and GMRES takes about as many iterations on a refined grid as on
-the default one.  Every Newton step is recorded on the report, and on
-the error that ends a failed solve, as a :class:`NewtonStep`.  Parity
-of an even initial guess is enforced on every iterate, which also keeps
-the translation direction out of the linearization's way.
+a localized potential, so GMRES is right-preconditioned by the exact
+inverse ``P = (Theta_0 - kappa)^(-1)``, built once per solve: it solves
+``(I - p w^(p-1) P) y = r`` with one ``P`` per Krylov product, the step
+is ``P y``, and its residual is the Newton residual, which
+:data:`GMRES_FLOOR` bounds.  ``P`` is bounded by ``1/(Lambda - kappa)``
+(derived in :func:`solve_profile`), so the operator is the identity plus
+a compact term, and GMRES takes about as many iterations on a refined
+grid as on the default one.  Each Newton step is a :class:`NewtonStep`
+on the report and on the error that ends a failed solve.  Parity of an
+even initial guess is enforced on every iterate, which also keeps the
+translation direction out of the linearization's way.
 
 The Newton residual, which defines the solution and its tail, uses the
-exact multiplier :func:`grid.multiply`.  The GMRES products (the
-linearization and the preconditioner) only steer the step, so they use
-:func:`grid.real_circulant`, the same circulant at a fast transform
-length.  Its round-off, about ``eps * max|symbol|`` in the kernel and
-reaching the low frequencies, is harmless in a Krylov product, but in
-the residual it would leave noise in the decaying tails.
+exact multiplier :func:`grid.multiply`.  ``P`` only steers the step, so
+it is :func:`grid.real_circulant`, the same circulant at a fast length.
+Its round-off, about ``eps * max|symbol|`` in the kernel and reaching
+the low frequencies, is harmless in a Krylov product, but in the
+residual it would leave noise in the decaying tails.
 """
 
 from __future__ import annotations
@@ -115,8 +114,9 @@ def solve_profile(
     is identically zero (or an iterate collapsing to zero) converges
     with the trivial flag set.
 
-    GMRES is preconditioned by ``(Theta_0 - kappa)^(-1)``, built once per
-    solve.  It is bounded for every accepted ``0 <= kappa < Lambda``:
+    Each step is ``P y`` for the GMRES solution of ``(I - p w^(p-1) P) y = r``,
+    ``P = (Theta_0 - kappa)^(-1)`` being one fast-length circulant built
+    once per solve.  It is bounded for every accepted ``0 <= kappa < Lambda``:
     with ``Theta_0(xi) = 2^(2 gamma) |Gamma(A + i xi/2)|^2 / |Gamma(B + i xi/2)|^2``,
     ``A > B > 0``, the product form of Gamma gives on real frequencies
 
@@ -157,8 +157,7 @@ def solve_profile(
     n = w.size
     xi = angular_frequencies(n, initial_guess.step)
     sym_vals = theta(params, 0, xi).real - params.kappa
-    sym_op = real_circulant(sym_vals)
-    pre = LinearOperator((n, n), matvec=real_circulant(1.0 / sym_vals), dtype=np.float64)
+    inverse = real_circulant(1.0 / sym_vals)
     gmres_atol = GMRES_FLOOR * tolerance
 
     def residual(v):
@@ -177,13 +176,10 @@ def solve_profile(
         step = len(history) + 1
         pot = p * np.abs(w) ** (p - 1.0)
 
-        def matvec(v):
-            return sym_op(v) - pot * v
-
-        op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+        op = LinearOperator((n, n), matvec=lambda y: y - pot * inverse(y), dtype=np.float64)
         krylov = []
-        delta, info = gmres(
-            op, r, M=pre, restart=60, maxiter=300, atol=gmres_atol, rtol=1e-10,
+        y, info = gmres(
+            op, r, restart=60, maxiter=300, atol=gmres_atol, rtol=1e-10,
             callback=krylov.append, callback_type="pr_norm",
         )
         if info != 0:
@@ -195,6 +191,7 @@ def solve_profile(
                 history,
             )
 
+        delta = inverse(y)
         alpha, accepted, neg_left = 1.0, False, NEGATIVITY_RETRIES
         for _ in range(MAX_HALVINGS + 1):
             cand = w - alpha * delta

@@ -41,6 +41,9 @@ __all__ = [
 
 STABILITY_TOL = 1e-9
 _LOG2 = math.log(2.0)
+_FAR_W = 5e3  # |Re z| = 1e4
+_FAR_TERMS = 4
+_BERNOULLI = (1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30)  # B_0 .. B_8
 
 
 def hardy_constant(n, gamma):
@@ -157,14 +160,57 @@ def mode_constants(params, mode=0):
     return a, b
 
 
+def _far(a, w):
+    """Entries where the large-``w`` expansion replaces the four log-Gammas.
+
+    The log-Gammas grow like ``|w|`` and cancel to ``O(log |w|)``, so
+    their sum loses about ``eps |w|`` absolutely (``Theta`` read 0.6-1.0
+    ``eps |z|`` off against mpmath from ``|z| = 1e3`` to ``3e9``).  Past
+    ``|Re z| = 1e4``, and ``50 A_m`` where four terms of the expansion
+    reach round-off, the expansion is the more accurate.
+    """
+    im = np.abs(w.imag)
+    far = im >= max(_FAR_W, 50.0 * a)
+    if far.any():  # the common case, nothing far, costs one comparison
+        far &= np.abs(w.real) <= im
+    return far
+
+
+def _far_log_ratio(a, b, w):
+    """``lg(a+w) + lg(a-w) - lg(b+w) - lg(b-w)`` and its ``w``-derivative, large ``|w|``.
+
+    Stirling's series ``lg(s+a) ~ (s+a-1/2) log s - s + log(2 pi)/2 +
+    sum_k (-1)^(k+1) B_(k+1)(a) / (k (k+1) s^k)`` at ``s = +-w``: the odd
+    powers cancel, leaving ``(a-b) Log(-w^2) + sum_j d_j w^(-2j)`` with
+    ``d_j = -(B_(2j+1)(a) - B_(2j+1)(b)) / (j (2j+1))`` (Bernoulli
+    polynomials ``B_k``).  ``Log w + Log(-w) = Log(-w^2)`` off the real axis.
+    """
+    inv = 1.0 / (w * w)
+    value, slope = (a - b) * np.log(-w * w), 2.0 * (a - b) / w
+    for j in range(1, _FAR_TERMS + 1):
+        k = 2 * j + 1  # B_k(a) - B_k(b); the constant terms B_k cancel
+        bk = sum(math.comb(k, i) * _BERNOULLI[i] * (a ** (k - i) - b ** (k - i)) for i in range(k))
+        term = -bk / (j * k) * inv**j
+        value, slope = value + term, slope - 2.0 * j * term / w
+    return value, slope
+
+
 def _gamma_ratio_exp(a, b, w, two_gamma_log2):
     """exp(2g log 2 + lg(a+w) + lg(a-w) - lg(b+w) - lg(b-w)) with pole care.
 
     Poles of the numerator Gammas are poles of the symbol and raise;
     poles of the denominator Gammas are legitimate zeros (the reciprocal
     of the Gamma vanishes there), so those entries return exactly 0.
+    Entries far along the real direction of ``z`` take the expansion of
+    :func:`_far_log_ratio`.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
+    far = _far(a, w)
+    if far.any():
+        out = np.empty_like(w)
+        out[far] = np.exp(two_gamma_log2 + _far_log_ratio(a, b, w[far])[0])
+        out[~far] = _gamma_ratio_exp(a, b, w[~far], two_gamma_log2)
+        return out
     num1, num2 = a + w, a - w
     den1, den2 = b + w, b - w
     if np.any(near_pole(num1) | near_pole(num2)):
@@ -237,6 +283,8 @@ def theta_derivative(params, mode, z):
         wr = w[reg]
         th = _gamma_ratio_exp(a, b, wr, c)
         logd = digamma(a + wr) - digamma(a - wr) - digamma(b + wr) + digamma(b - wr)
+        far = _far(a, wr)
+        logd[far] = _far_log_ratio(a, b, wr[far])[1]
         out[reg] = th * 0.5j * logd
     for idx in np.nonzero(at1 | at2)[0]:
         wi = w[idx]

@@ -166,6 +166,22 @@ def test_degenerate_root_rejected():
         residue_at(params, 0, origin)
 
 
+def test_far_real_root():
+    # Unstable mode 3 of (3, 0.0159) at kappa = 1.92 Theta_3(0): the real
+    # pair sits at tau_0 = 2.87e9, where the direct Gamma sum of the symbol
+    # was 1e-6 off and the root was rejected by its residual.
+    base = CylinderParams(n=3, gamma=0.0159)
+    params = CylinderParams(n=3, gamma=0.0159, kappa=1.92 * complex(theta(base, 3, 0.0)).real)
+    roots = find_roots(params, 3)
+    root = roots[0]
+    assert root.sigma == 0.0
+    # 40-digit mpmath root of Theta_3(tau) = kappa; its residue 1/Theta_3'
+    assert abs(root.tau - 2874259974.3160273) <= 1e-14 * root.tau
+    assert abs(root.residue - 45218671498.856695) <= 1e-12 * root.residue.real
+    for r in roots:
+        assert abs(complex(theta(params, 3, r.z)) - params.kappa) <= 1e-8
+
+
 def test_higher_mode_roots():
     params = CylinderParams(n=3, gamma=0.5, kappa=1.0)  # below Theta_1(0) = pi/2
     roots = find_roots(params, mode=1, count=3)

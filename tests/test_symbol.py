@@ -147,6 +147,38 @@ def test_symbol_derivative_at_high_zeros_matches_mpmath(j):
         assert abs(theta_derivative(P35, 0, z) - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize(
+    "n, gamma, mode", [(3, 0.0159, 3), (3, 0.5, 0), (7, 0.9, 12), (2, 0.05, 0)]
+)
+def test_far_symbol_matches_mpmath(n, gamma, mode):
+    # Its four log-Gammas cancel to eps |z| absolutely, so the direct sum
+    # reads 1e-12 relative at |z| = 1e4 and 1e-6 at 3e9; past |Re z| = 1e4
+    # the large-argument expansion holds to round-off, the derivative too.
+    params = CylinderParams(n=n, gamma=gamma)
+    a, b = mode_constants(params, mode)
+
+    def symbol(z):
+        w = 0.5j * z
+        return (
+            mpmath.mpf(2) ** (2 * mpmath.mpf(gamma))
+            * mpmath.gamma(a + w)
+            * mpmath.gamma(a - w)
+            * mpmath.rgamma(b + w)
+            * mpmath.rgamma(b - w)
+        )
+
+    for z in (1e4, 1e4 + 30j, -2e4 - 5j, 1e5 + 1e5j, 3e6, 2874259974.316027, 1e12 + 7j):
+        with mpmath.workdps(40):
+            want = complex(symbol(mpmath.mpc(z)))
+            slope = complex(mpmath.diff(symbol, mpmath.mpc(z)))
+        assert abs(theta(params, mode, z) - want) <= 1e-14 * abs(want)
+        assert abs(theta_derivative(params, mode, z) - slope) <= 1e-14 * abs(slope)
+    for z in (3e6, -3e6):  # exactly real on the real axis, and even
+        assert complex(theta(params, mode, z)).imag == 0.0
+    assert theta(params, mode, 3e6 + 2j) == theta(params, mode, -3e6 - 2j)
+    assert theta(params, mode, 3e6 - 2j) == theta(params, mode, 3e6 + 2j).conjugate()
+
+
 def test_shifted_symbol_reduces_to_plain_at_critical():
     rng = np.random.default_rng(31)
     params = CylinderParams(n=4, gamma=0.75)  # p defaults to critical
