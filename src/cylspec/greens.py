@@ -277,7 +277,6 @@ def component_solutions(greens, h, threshold=1e-10):
     """
     h.require_decay(threshold)
     u = h.samples * (h.step * trapezoid_weights(h.n_points))
-    u[np.abs(u) < np.finfo(float).tiny] = 0.0  # subnormals slow every block product
     roots = greens.roots
     sine = roots[0].sigma == 0.0  # the unstable regime's real pair comes first
     lams = np.array([complex(r.sigma, r.tau) for r in roots[int(sine) :]], dtype=complex)

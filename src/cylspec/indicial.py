@@ -52,6 +52,7 @@ __all__ = [
 
 ROOT_RESIDUAL_TOL = 1e-8
 DEGENERATE_TOL = 1e-10
+_DEGENERATE_FAR = 1e4  # |z| past which the degeneracy test scales with |z|
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXIT = 50
 _BISECT_MAXIT = 100
@@ -367,8 +368,11 @@ def residue_at(params, mode, root):
     """Residue of 1/(Theta_m - kappa) at the root: 1/Theta_m'(z).
 
     Simple poles only; a derivative smaller than ``1e-10`` in magnitude
-    (``1e-10 / |z|`` beyond ``|z| = 1``, since ``Theta_m`` grows like
-    ``|z|^(2 gamma)``) is reported as :class:`DegenerateRootError`.
+    is reported as :class:`DegenerateRootError`.  Past ``|z| = 1e4`` the
+    bound is ``1e-10 * 1e4 / |z|``: there a simple root's derivative,
+    about ``2 gamma kappa / z`` since ``Theta_m`` grows like
+    ``|z|^(2 gamma)``, itself falls toward ``1e-10`` (``2.2e-11`` at the
+    real root ``2.87e9`` of n = 3, gamma = 0.0159, mode 3).
     Conjugate symmetry forces the residue purely imaginary on the
     imaginary axis and purely real on the real axis, and the returned
     value satisfies that exactly.
@@ -379,7 +383,7 @@ def residue_at(params, mode, root):
 
 def _residue(sigma, tau, d):
     """``1/d`` at the pole ``tau + i sigma``, with the symmetry made exact."""
-    if abs(d) * max(1.0, abs(complex(tau, sigma))) < DEGENERATE_TOL:
+    if abs(d) * max(1.0, abs(complex(tau, sigma)) / _DEGENERATE_FAR) < DEGENERATE_TOL:
         raise DegenerateRootError(
             f"|Theta'| = {abs(d):.3e} at z = {complex(tau, sigma)}; root is not simple"
         )

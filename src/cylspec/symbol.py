@@ -176,60 +176,73 @@ def _far(a, w):
     return far
 
 
-def _far_log_ratio(a, b, w):
-    """``lg(a+w) + lg(a-w) - lg(b+w) - lg(b-w)`` and its ``w``-derivative, large ``|w|``.
+def _far_log_ratio(a, b, w, slope):
+    """Large-``|w|`` expansion of :func:`_log_ratio`.
 
     Stirling's series ``lg(s+a) ~ (s+a-1/2) log s - s + log(2 pi)/2 +
     sum_k (-1)^(k+1) B_(k+1)(a) / (k (k+1) s^k)`` at ``s = +-w``: the odd
-    powers cancel, leaving ``(a-b) Log(-w^2) + sum_j d_j w^(-2j)`` with
-    ``d_j = -(B_(2j+1)(a) - B_(2j+1)(b)) / (j (2j+1))`` (Bernoulli
-    polynomials ``B_k``).  ``Log w + Log(-w) = Log(-w^2)`` off the real axis.
+    powers cancel, leaving ``(a-b) (Log w + Log(-w)) + sum_j d_j w^(-2j)``
+    with ``d_j = -(B_(2j+1)(a) - B_(2j+1)(b)) / (j (2j+1))`` (Bernoulli
+    polynomials ``B_k``).  ``Log w + Log(-w)`` is ``Log(-w^2)`` off the
+    real axis, without overflowing ``w^2``.
     """
-    inv = 1.0 / (w * w)
-    value, slope = (a - b) * np.log(-w * w), 2.0 * (a - b) / w
+    inv = (1.0 / w) ** 2
+    value = (a - b) * (np.log(w) + np.log(-w))
+    deriv = 2.0 * (a - b) / w if slope else None
     for j in range(1, _FAR_TERMS + 1):
         k = 2 * j + 1  # B_k(a) - B_k(b); the constant terms B_k cancel
         bk = sum(math.comb(k, i) * _BERNOULLI[i] * (a ** (k - i) - b ** (k - i)) for i in range(k))
         term = -bk / (j * k) * inv**j
-        value, slope = value + term, slope - 2.0 * j * term / w
-    return value, slope
+        value = value + term
+        if slope:
+            deriv = deriv - 2.0 * j * term / w
+    return value, deriv
 
 
-def _gamma_ratio_exp(a, b, w, two_gamma_log2):
+def _log_ratio(a, b, w, offset, slope):
+    """``offset + lg(a+w) + lg(a-w) - lg(b+w) - lg(b-w)`` off the Gamma poles.
+
+    With ``slope`` also its ``w``-derivative, the digamma combination,
+    else ``None``.  Entries far along the real direction of ``z`` take
+    the expansion of :func:`_far_log_ratio`; this is the one place that
+    chooses.  Summing in ``+-w`` pairs keeps the direct value exactly
+    even in ``w``.
+    """
+    far = _far(a, w)
+    if far.any():
+        value, deriv = np.empty_like(w), np.empty_like(w) if slope else None
+        value[far], d_far = _far_log_ratio(a, b, w[far], slope)
+        value[far] += offset
+        value[~far], d_near = _log_ratio(a, b, w[~far], offset, slope)
+        if slope:
+            deriv[far], deriv[~far] = d_far, d_near
+        return value, deriv
+    value = offset + (log_gamma(a + w) + log_gamma(a - w)) - (log_gamma(b + w) + log_gamma(b - w))
+    deriv = digamma(a + w) - digamma(a - w) - digamma(b + w) + digamma(b - w) if slope else None
+    return value, deriv
+
+
+def _gamma_ratio_exp(a, b, w, two_gamma_log2, slope=False):
     """exp(2g log 2 + lg(a+w) + lg(a-w) - lg(b+w) - lg(b-w)) with pole care.
 
     Poles of the numerator Gammas are poles of the symbol and raise;
     poles of the denominator Gammas are legitimate zeros (the reciprocal
     of the Gamma vanishes there), so those entries return exactly 0.
-    Entries far along the real direction of ``z`` take the expansion of
-    :func:`_far_log_ratio`.
+    With ``slope`` returns the pair (ratio, log-derivative in ``w``),
+    the latter for callers that keep off the zeros.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-    far = _far(a, w)
-    if far.any():
-        out = np.empty_like(w)
-        out[far] = np.exp(two_gamma_log2 + _far_log_ratio(a, b, w[far])[0])
-        out[~far] = _gamma_ratio_exp(a, b, w[~far], two_gamma_log2)
-        return out
-    num1, num2 = a + w, a - w
-    den1, den2 = b + w, b - w
-    if np.any(near_pole(num1) | near_pole(num2)):
+    if np.any(near_pole(a + w) | near_pole(a - w)):
         raise PoleError("symbol evaluated at a pole (numerator Gamma argument)")
-    zero = near_pole(den1) | near_pole(den2)
-    # Mask denominator poles before calling log_gamma, then restore.
-    safe1 = np.where(zero, 1.0, den1)
-    safe2 = np.where(zero, 1.0, den2)
-    # Summing in +-w pairs makes the exponent exactly even in w.
-    out = np.exp(
-        two_gamma_log2
-        + (log_gamma(num1) + log_gamma(num2))
-        - (log_gamma(safe1) + log_gamma(safe2))
-    )
+    zero = near_pole(b + w) | near_pole(b - w)
+    # Move denominator poles to w = 0 before calling log_gamma, then restore.
+    logr, logd = _log_ratio(a, b, np.where(zero, 0.0, w), two_gamma_log2, slope)
+    out = np.exp(logr)
     out[zero] = 0.0
     # Reflection symmetry makes the ratio real whenever w is real (the
     # imaginary axis of the symbol); drop the round-off phase there.
     out.imag[w.imag == 0.0] = 0.0
-    return out
+    return (out, logd) if slope else out
 
 
 def _theta_arr(params, mode, z, q_shift):
@@ -281,10 +294,7 @@ def theta_derivative(params, mode, z):
     reg = ~(at1 | at2)
     if np.any(reg):
         wr = w[reg]
-        th = _gamma_ratio_exp(a, b, wr, c)
-        logd = digamma(a + wr) - digamma(a - wr) - digamma(b + wr) + digamma(b - wr)
-        far = _far(a, wr)
-        logd[far] = _far_log_ratio(a, b, wr[far])[1]
+        th, logd = _gamma_ratio_exp(a, b, wr, c, slope=True)
         out[reg] = th * 0.5j * logd
     for idx in np.nonzero(at1 | at2)[0]:
         wi = w[idx]

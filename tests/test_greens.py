@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import cylspec.greens
 from cylspec.errors import (
     DecayHypothesisError,
     DomainError,
@@ -291,34 +290,6 @@ def test_component_sweep_matches_fft_route_on_prime_lattice():
                 kernel = np.exp(-complex(root.sigma, root.tau) * np.abs(lag))
             want = fftconvolve(kernel, u)[n - 1 : 2 * n - 1] * h.step
             assert np.max(np.abs(got.samples - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_component_sweep_flushes_subnormal_source(monkeypatch):
-    # exp(-t^2) is subnormal for 26.6 < |t| < 27.3 on the default window;
-    # carried through the block products such samples slow the sweep.
-    # Scaling the source by 2^600 is exact and leaves none subnormal, so
-    # scaling that result back is the unflushed sweep.
-    tiny = np.finfo(float).tiny
-    h = GridFunction.from_callable(lambda t: np.exp(-t * t) + 0j)
-    assert np.any((np.abs(h.samples) < tiny) & (h.samples != 0.0))
-    sources = []
-    sweep = cylspec.greens._two_sided_sweep
-
-    def recorded(u, *args):
-        sources.append(u)
-        return sweep(u, *args)
-
-    monkeypatch.setattr(cylspec.greens, "_two_sided_sweep", recorded)
-    series = build_greens(P03, 0, 12)
-    got = component_solutions(series, h)
-    (u,) = sources
-    assert not np.any((np.abs(u) < tiny) & (u != 0.0))
-    unflushed = component_solutions(series, h.with_samples(h.samples * 2.0**600))
-    for w, ref in zip(got, unflushed):
-        w, ref = w.samples, ref.samples * 2.0**-600
-        assert not np.any((np.abs(w) < tiny) & (w != 0.0))
-        kept = np.abs(ref) >= tiny
-        assert np.array_equal(w[kept], ref[kept])
 
 
 def test_operator_recovers_rhs():

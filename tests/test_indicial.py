@@ -17,7 +17,7 @@ from cylspec.errors import (
     ValidationError,
 )
 from cylspec.indicial import certified_count, find_lambda_prime, find_roots, residue_at
-from cylspec.symbol import CylinderParams, mode_constants, theta
+from cylspec.symbol import CylinderParams, mode_constants, theta, theta_derivative
 
 # Frozen 40-digit oracle: roots of sigma cot(pi sigma/2) = kappa in
 # successive windows, and the coefficients -1/f'(sigma_j).
@@ -164,6 +164,21 @@ def test_degenerate_root_rejected():
     origin = IndicialRoot(sigma=0.0, tau=0.0, residue=0j, index=0)
     with pytest.raises(DegenerateRootError):
         residue_at(params, 0, origin)
+
+
+def test_near_double_root_away_from_origin_rejected():
+    from cylspec.indicial import IndicialRoot
+
+    # Theta_0 of (3, 0.5) has a critical point at z_c (40-digit mpmath),
+    # where Theta_0'' = pi; 3e-11 / pi off it |Theta_0'| = 3e-11, inside
+    # the tolerance 1e-10 although above 1e-10 / |z| = 4.9e-12.
+    z_c = complex(1.5469595150548343, 20.475994441794032)
+    params = _params(0.3)
+    for z in (z_c, z_c + 3e-11 / math.pi):
+        assert abs(theta_derivative(params, 0, z)) < indicial.DEGENERATE_TOL
+        root = IndicialRoot(sigma=z.imag, tau=z.real, residue=0j, index=0)
+        with pytest.raises(DegenerateRootError):
+            residue_at(params, 0, root)
 
 
 def test_far_real_root():
