@@ -39,7 +39,8 @@ from .errors import (
 from .grid import angular_frequencies, fftconvolve, multiply, tail_rate, trapezoid
 from .grid import trapezoid_weights
 from .indicial import find_roots
-from .symbol import theta, theta_shifted
+from .specfun import polygamma
+from .symbol import mode_constants, theta, theta_shifted
 
 __all__ = [
     "GreensSeries",
@@ -105,6 +106,42 @@ class GreensSeries:
     def gamma_coefficients(self):
         """Complex weights c_j + i c'_j, one per root."""
         return np.array([complex(c, cp) for c, cp in self.coefficients])
+
+    @property
+    def decay_exponents(self):
+        """Exponents ``lambda_j = sigma_j + i tau_j`` of a decaying series, one per root."""
+        if self.regime == REGIME_UNSTABLE:
+            raise ValidationError(
+                "a decaying series is required; the series has a purely oscillatory mode"
+            )
+        return np.array([root.decay for root in self.roots])
+
+    def dropped_moments(self):
+        """Moments ``(s1, s3, s5)`` of the roots the truncation drops; stable regime only.
+
+        On a smooth source a large root's component is ``w_j = (2/lambda_j)
+        h + (2/lambda_j^3) h'' + ...``, so the dropped roots act as ``2 s1 h
+        + 2 s3 h'' + 2 s5 h''''``, ``s_k = sum_dropped Re(g_j/lambda_j^k)``.
+        Over all roots the sums are ``q(0)/2``, ``-q''(0)/4``, ``q''''(0)/48``
+        for ``q = 1/(Theta_m - kappa)``, in closed form since at 0 ``(log
+        Theta_m)'' = (psi'(B_m) - psi'(A_m))/2`` and ``(log Theta_m)'''' =
+        (psi'''(A_m) - psi'''(B_m))/8`` (Abramowitz & Stegun 6.4).
+        """
+        lams = self.decay_exponents
+        ratios = self.gamma_coefficients / lams
+        a, b = mode_constants(self.params, self.mode)
+        theta0 = complex(theta(self.params, self.mode, 0.0)).real
+        l2 = 0.5 * (polygamma(1, b) - polygamma(1, a))
+        l4 = 0.125 * (polygamma(3, a) - polygamma(3, b))
+        t2, t4 = theta0 * l2, theta0 * (l4 + 3.0 * l2 * l2)
+        d = theta0 - self.params.kappa
+        q2 = -t2 / d**2
+        q4 = -t4 / d**2 + 6.0 * t2 * t2 / d**3
+        return (
+            0.5 / d - float(np.sum(ratios.real)),
+            -0.25 * q2 - float(np.sum((ratios / lams**2).real)),
+            q4 / 48.0 - float(np.sum((ratios / lams**4).real)),
+        )
 
 
 def build_greens(params, mode=0, truncation=12):
@@ -279,7 +316,7 @@ def component_solutions(greens, h, threshold=1e-10):
     u = h.samples * (h.step * trapezoid_weights(h.n_points))
     roots = greens.roots
     sine = roots[0].sigma == 0.0  # the unstable regime's real pair comes first
-    lams = np.array([complex(r.sigma, r.tau) for r in roots[int(sine) :]], dtype=complex)
+    lams = np.array([r.decay for r in roots[int(sine) :]], dtype=complex)
     out = [h.with_samples(w) for w in _two_sided_sweep(u, -h.step * lams)]
     if sine:
         pair = 1j * h.step * roots[0].tau * np.array([-1.0, 1.0])

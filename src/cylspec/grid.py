@@ -77,26 +77,15 @@ def real_circulant(values):
     return apply
 
 
-def _spectrum(x, m):
-    """``fft(x, m)``, a real ``x`` through ``rfft`` and Hermitian symmetry."""
-    if np.iscomplexobj(x):
-        return np.fft.fft(x, m)
-    half = np.fft.rfft(x, m)
-    return np.concatenate([half, np.conj(half[1 : m - half.size + 1][::-1])])
-
-
 def fftconvolve(a, b):
-    """Full linear convolution of two 1-d arrays at ``scipy.fft.next_fast_len``.
+    """Full linear convolution of two real 1-d arrays at ``scipy.fft.next_fast_len``.
 
-    Same padding and transforms as ``scipy.signal.fftconvolve``: real
-    ones for two real inputs, complex ones otherwise.
+    Same padding and real transforms as ``scipy.signal.fftconvolve``, so
+    the result is bit-identical to it.
     """
     from scipy.fft import next_fast_len
 
     n = a.size + b.size - 1
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        m = next_fast_len(n)
-        return np.fft.ifft(_spectrum(a, m) * _spectrum(b, m))[:n]
     m = next_fast_len(n, real=True)
     return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
 

@@ -61,7 +61,15 @@ def bubble_amplitude(params: CylinderParams) -> float:
 
 
 def bubble(params: CylinderParams, t):
-    """Evaluate C (cosh t)^{-(n-2 gamma)/2} at t (scalar or array)."""
+    """Evaluate C (cosh t)^{-(n-2 gamma)/2} at t (scalar or array).
+
+    The bubble solves ``Theta_0 w = Lambda w^p`` (critical p, kappa = 0).
+    The profile equation of :func:`cylinder_constant` and
+    :func:`~cylspec.nonlinear.solve_profile` is ``(Theta_0 - kappa) w =
+    w^p``, without the factor Lambda, so at kappa = 0 its solution is
+    ``Lambda^(1/(p-1)) = cylinder_constant`` times the bubble: the CLI's
+    default guess.
+    """
     a = 0.5 * (params.n - 2.0 * params.gamma)
     ts = np.abs(np.asarray(t, dtype=np.float64))
     # log cosh, overflow-safe for any t
@@ -71,7 +79,10 @@ def bubble(params: CylinderParams, t):
 
 
 def cylinder_constant(params: CylinderParams) -> float:
-    """The constant solving the profile equation, (Lambda - kappa)^{1/(p-1)}."""
+    """The constant solving the profile equation, (Lambda - kappa)^{1/(p-1)}.
+
+    At kappa = 0 it also takes :func:`bubble` to a solution (see there).
+    """
     gap = params.lam - params.kappa
     if gap <= 0.0:
         raise DomainError("no positive constant solution beyond the Hardy constant")

@@ -1,15 +1,15 @@
-"""Complex log-Gamma, digamma, and the Gauss hypergeometric function.
+"""Complex log-Gamma, digamma, polygamma, and the Gauss hypergeometric function.
 
-These three cover every special-function need of the symbol and kernel
+These four cover every special-function need of the symbol and kernel
 machinery.  The numerics are ``scipy.special`` (``loggamma``, ``psi``,
-``hyp2f1``); this module is the boundary around them.  It checks the
-input, turns poles and domain violations into named errors, and keeps
-the calling conventions: scalar in, scalar out, array in, array out.
-Every call evaluates on a 1-d view, so a scalar result is bit-identical
-to the same entry of a vector result.
+``polygamma``, ``hyp2f1``); this module is the boundary around them.
+It checks the input, turns poles and domain violations into named
+errors, and keeps the calling conventions: scalar in, scalar out, array
+in, array out.  Every call evaluates on a 1-d view, so a scalar result
+is bit-identical to the same entry of a vector result.
 
-``log_gamma`` and ``digamma`` take complex arguments; ``hyp2f1`` takes
-real parameters and real ``|x| < 1``.
+``log_gamma`` and ``digamma`` take complex arguments; ``polygamma`` one
+real ``x > 0``; ``hyp2f1`` real parameters and real ``|x| < 1``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from scipy import special
 
 from .errors import DomainError, PoleError, ValidationError
 
-__all__ = ["log_gamma", "digamma", "hyp2f1", "near_pole"]
+__all__ = ["log_gamma", "digamma", "polygamma", "hyp2f1", "near_pole"]
 
 _GAMMA_POLE_TOL = 1e-14
 _HYP2F1_POLE_TOL = 1e-12
@@ -91,6 +91,13 @@ def digamma(z):
         If any argument is non-finite.
     """
     return _gamma_family(special.psi, z, "digamma")
+
+
+def polygamma(k, x):
+    """``psi^(k)(x)``, the k-th derivative of the digamma, at one real ``x > 0``."""
+    if not 0.0 < x < np.inf:
+        raise ValidationError(f"polygamma: argument must be finite and positive, got {x!r}")
+    return float(special.polygamma(k, x))
 
 
 def hyp2f1(a, b, c, x):

@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from cylspec.errors import (
     DecayHypothesisError,
@@ -21,8 +23,8 @@ from cylspec.greens import (
     solve_convolution,
     solve_ode_system,
 )
-from cylspec.grid import GridFunction, fftconvolve, trapezoid_weights
-from cylspec.symbol import CylinderParams
+from cylspec.grid import GridFunction, trapezoid_weights
+from cylspec.symbol import CylinderParams, mode_constants, theta
 
 # Frozen 30-digit oscillatory-quadrature values of the inverse Fourier
 # integral (1/2pi) int e^{i xi t} / (Theta_0(xi) - kappa) d xi.
@@ -355,3 +357,80 @@ def test_convolution_decay_rules():
         convolution_decay(1.0, -1.5, 2.0)
     with pytest.raises(ValidationError):
         convolution_decay(0.0, 1.0, 1.0)
+
+
+def _full_moments(series):
+    """``(q(0), q''(0), q''''(0))`` of ``q = 1/(Theta_m - kappa)``: dropped plus kept sums."""
+    s1, s3, s5 = series.dropped_moments()
+    lams = series.decay_exponents
+    ratios = series.gamma_coefficients / lams
+    kept = [np.sum((ratios / lams ** (k - 1)).real) for k in (1, 3, 5)]
+    return 2.0 * (s1 + kept[0]), -4.0 * (s3 + kept[1]), 48.0 * (s5 + kept[2])
+
+
+def _mpmath_moments(params, mode, theta0=None):
+    """40-digit ``diff`` of ``1/(c Theta_m - kappa)`` at 0; ``c`` takes ``Theta_m(0)`` to theta0."""
+    a, b = mode_constants(params, mode)
+    with mpmath.workdps(40):
+        a, b, g = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(params.gamma)
+
+        def symbol(x):
+            w = 0.5j * x
+            return mpmath.re(
+                2 ** (2 * g)
+                * mpmath.gamma(a + w)
+                * mpmath.gamma(a - w)
+                * mpmath.rgamma(b + w)
+                * mpmath.rgamma(b - w)
+            )
+
+        c = 1 if theta0 is None else mpmath.mpf(theta0) / symbol(0)
+        return [
+            float(mpmath.diff(lambda x: 1 / (c * symbol(x) - params.kappa), 0, k))
+            for k in (0, 2, 4)
+        ]
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.95])
+@pytest.mark.parametrize("mode", range(5))
+def test_dropped_moments_match_mpmath_near_threshold(gamma, mode):
+    # kappa is within 1% of Theta_m(0), so D = Theta_m(0) - kappa is 1% of
+    # Theta_m(0) and the moments are conditioned by Theta_m(0)/D = 100
+    # against the symbol's round-off at 0 (up to 6e-15 relative, at mode
+    # 4, gamma 0.95).  Against mpmath on the symbol scaled to the
+    # library's Theta_m(0) only the closed form is tested, to 1e-13
+    # relative; against plain mpmath, that times the conditioning.
+    theta0 = complex(theta(CylinderParams(n=2, gamma=gamma), mode, 0.0)).real
+    params = CylinderParams(n=2, gamma=gamma, kappa=0.99 * theta0)
+    got = _full_moments(build_greens(params, mode, 12))
+    conditioning = theta0 / (theta0 - params.kappa)
+    exact, plain = _mpmath_moments(params, mode, theta0), _mpmath_moments(params, mode)
+    for g, e, p in zip(got, exact, plain):
+        assert abs(g - e) <= 1e-13 * abs(e)
+        assert abs(g - p) <= 1e-13 * conditioning * abs(p)
+
+
+@pytest.mark.parametrize(
+    "n, gamma, kappa",
+    [(3, 0.5, 0.3), (4, 0.1, 0.05), (5, 0.25, 0.0), (2, 0.05, 0.5), (6, 0.9, 1.0)],
+)
+def test_kept_sums_converge_to_closed_form_moments(n, gamma, kappa):
+    # The dropped moments are the closed form less the kept sums, so they
+    # shrink with the truncation only if the closed form is the series'
+    # own moment.  The largest at truncation 150 are 6.5e-5 and 1.2e-8 of
+    # the full moment, at (4, 0.1, 0.05), mode 3.
+    params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
+    for mode in range(4):
+        short, long = build_greens(params, mode, 12), build_greens(params, mode, 150)
+        _, q2, q4 = _full_moments(long)
+        full = (-0.25 * q2, q4 / 48.0)
+        s3, s5 = (abs(s / f) for s, f in zip(long.dropped_moments()[1:], full))
+        t3, t5 = (abs(s / f) for s, f in zip(short.dropped_moments()[1:], full))
+        assert s3 < 1e-4 and s5 < 1e-7
+        assert s3 < t3 and s5 < t5
+
+
+def test_dropped_moments_need_a_decaying_series():
+    unstable = build_greens(CylinderParams(n=3, gamma=0.5, kappa=0.8), 0, truncation=8)
+    with pytest.raises(ValidationError):
+        unstable.dropped_moments()

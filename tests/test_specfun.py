@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cylspec.errors import DomainError, PoleError, ValidationError
-from cylspec.specfun import digamma, hyp2f1, log_gamma
+from cylspec.specfun import digamma, hyp2f1, log_gamma, polygamma
 
 EULER_GAMMA = 0.5772156649015328606065120900824024310422
 
@@ -107,6 +107,18 @@ def test_gamma_functions_match_mpmath(fun, ref):
         with mpmath.workdps(40):
             want = complex(ref(z))
         assert abs(fun(z) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_polygamma_matches_mpmath(k):
+    # The mode constants A_m, B_m: positive reals from about 0.03 upward.
+    for x in np.geomspace(0.03, 60.0, 40):
+        with mpmath.workdps(40):
+            want = float(mpmath.polygamma(k, x))
+        assert abs(polygamma(k, x) - want) <= 1e-14 * abs(want)
+    for bad in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            polygamma(k, bad)
 
 
 def test_vectorized_matches_scalar():
