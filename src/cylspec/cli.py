@@ -93,7 +93,6 @@ class JobResult:
     grid: GridFunction | None = None
     table: tuple | None = None
     arrays: dict | None = None
-    exit_code: int = 0
 
 
 def _load_grid(path):
@@ -228,8 +227,8 @@ def _job_wronskian(cfg):
     h_tilde = _load_grid(cfg.extras["source_tilde"])
     h.require_same_grid(h_tilde)
     series = build_greens(cfg.params, cfg.mode, truncation=cfg.truncation)
-    w = solve_convolution(series, h, threshold=cfg.tolerance)
-    w_tilde = solve_convolution(series, h_tilde, threshold=cfg.tolerance)
+    w = solve_convolution(series, h)
+    w_tilde = solve_convolution(series, h_tilde)
     tr = wronskian(series, w, w_tilde, h, h_tilde)
     defect = wronskian_defect(series, w, w_tilde, h, h_tilde)
     report = {
@@ -290,7 +289,7 @@ def _render(cfg, result):
 
 
 def run(config):
-    """Execute one job and write its artifact; returns the exit status."""
+    """Execute one job and write its artifact; returns the exit status, 0."""
     result = _HANDLERS[config.command](config)
     text = _render(config, result)
     if config.output is None:
@@ -298,7 +297,7 @@ def run(config):
     else:
         with open(config.output, "w", newline="") as fh:
             fh.write(text)
-    return result.exit_code
+    return 0
 
 
 def _add_command(sub, name, help_text):
@@ -319,7 +318,8 @@ def _add_command(sub, name, help_text):
         "--tolerance",
         type=float,
         default=1e-6,
-        help="solve / verification tolerance (default: 1e-6)",
+        help="source decay (solve-linear), Newton residual (solve-profile, pohozaev), "
+        "profile residual (verify-bubble) (default: 1e-6)",
     )
     p.add_argument("--output", default=None, help="artifact path (default: stdout)")
     p.add_argument(

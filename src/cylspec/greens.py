@@ -3,17 +3,19 @@
 The inverse of the mode operator ``Theta_m(D) - kappa`` acting on
 decaying right-hand sides is convolution against
 
-    G(t) = sum_j e^{-sigma_j |t|} (c_j cos(tau_j |t|) + c'_j sin(tau_j |t|)),
+    G(t) = sum_j c_j e^{-sigma_j |t|},
 
-with one term per resolvent pole; above the mode's Hardy constant the
-first pair sits on the real axis and contributes the non-decaying
-one-sided term ``c_0 sin(tau_0 t)`` for ``t < 0`` instead.  The
-coefficients come from the pole residues: with ``R_j`` the residue of
-``1/(Theta_m - kappa)`` at ``z_j = tau_j + i sigma_j`` and the inverse
-transform normalized as ``(1/2 pi) int e^{i xi t} / (Theta - kappa)``,
-closing the contour gives ``c_j + i c'_j = i R_j`` for axis poles,
-``-2 i conj(R_j)`` for strictly complex poles, and ``c_0 = 2 R_0`` for
-the real pair.
+with one term per resolvent pole ``z_j = i sigma_j`` on the imaginary
+axis; above the mode's Hardy constant the first pole is instead the real
+pair ``+-tau_0`` and contributes the non-decaying one-sided term ``c_0
+sin(tau_0 t)`` for ``t < 0``.  No other kind of term occurs:
+:func:`~cylspec.indicial.find_roots` places one root in each window of
+the imaginary axis and the first one either there or on the real axis,
+so every root has ``tau_j = 0`` or ``sigma_j = 0``.  The coefficients
+come from the pole residues: with ``R_j`` the residue of ``1/(Theta_m -
+kappa)`` at ``z_j`` and the inverse transform normalized as ``(1/2 pi)
+int e^{i xi t} / (Theta - kappa)``, closing the contour gives ``c_j = i
+R_j`` for axis poles and ``c_0 = 2 R_0`` for the real pair.
 
 Two independent routes to the same objects live here on purpose: the
 series against direct oscillatory quadrature of the Fourier integral,
@@ -40,7 +42,7 @@ from .grid import angular_frequencies, fftconvolve, multiply, tail_rate, trapezo
 from .grid import trapezoid_weights
 from .indicial import find_roots
 from .specfun import polygamma
-from .symbol import mode_constants, theta, theta_shifted
+from .symbol import mode_constants, theta
 
 __all__ = [
     "GreensSeries",
@@ -57,14 +59,16 @@ __all__ = [
 
 REGIME_STABLE = "stable"
 REGIME_UNSTABLE = "unstable"
+_ORACLE_LOBES = 96  # half-period lobes of the oracle's first attempt
+_ORACLE_TOL = 1e-9  # the oracle's relative tolerance
 
 
 @dataclass(frozen=True)
 class GreensSeries:
     """Truncated exponential series for the Green's function of one mode.
 
-    ``roots[j]`` carries the pole, ``coefficients[j] = (c_j, c'_j)`` the
-    series weights.  ``tail_bound`` is the retained coefficient mass, a
+    ``roots[j]`` carries the pole, ``coefficients[j] = (c_j, 0.0)`` the
+    series weight.  ``tail_bound`` is the retained coefficient mass, a
     global (sup over t) size of the dropped terms, and ``tail_bound_at``
     scales it by the decay of the first dropped exponential.  Both are
     estimates, not bounds: the retained mass need not dominate the
@@ -86,16 +90,11 @@ class GreensSeries:
         t = np.asarray(t, dtype=np.float64)
         at = np.abs(t)
         out = np.zeros(at.shape)
-        for root, (c, cp) in zip(self.roots, self.coefficients):
+        for root, (c, _) in zip(self.roots, self.coefficients):
             if root.sigma == 0.0:
                 out = out + c * np.sin(root.tau * t) * (t < 0.0)
             else:
-                damp = np.exp(-root.sigma * at)
-                if root.tau == 0.0:
-                    out = out + c * damp
-                else:
-                    phase = root.tau * at
-                    out = out + damp * (c * np.cos(phase) + cp * np.sin(phase))
+                out = out + c * np.exp(-root.sigma * at)
         return float(out) if np.ndim(t) == 0 else out
 
     def tail_bound_at(self, t):
@@ -104,7 +103,7 @@ class GreensSeries:
 
     @property
     def gamma_coefficients(self):
-        """Complex weights c_j + i c'_j, one per root."""
+        """Weights c_j as complex numbers, one per root."""
         return np.array([complex(c, cp) for c, cp in self.coefficients])
 
     @property
@@ -156,11 +155,9 @@ def build_greens(params, mode=0, truncation=12):
         r = root.residue
         if root.sigma == 0.0:
             coefficients.append((2.0 * r.real, 0.0))  # one-sided sine weight
-        elif root.tau == 0.0:
-            coefficients.append((-r.imag, 0.0))
         else:
-            coefficients.append((-2.0 * r.imag, -2.0 * r.real))
-    mass = sum(abs(c) + abs(cp) for c, cp in coefficients)
+            coefficients.append((-r.imag, 0.0))
+    mass = sum(abs(c) for c, _ in coefficients)
     return GreensSeries(
         params=params,
         mode=mode,
@@ -173,14 +170,12 @@ def build_greens(params, mode=0, truncation=12):
     )
 
 
-def _gauss_nodes(order=48):
-    x, w = np.polynomial.legendre.leggauss(order)
+def _gauss_nodes():
+    x, w = np.polynomial.legendre.leggauss(48)
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
 
 
-def greens_quadrature_oracle(
-    params, mode, t, contour_shift=None, lobes=96, tol=1e-9
-):
+def greens_quadrature_oracle(params, mode, t, contour_shift=None):
     """Direct inverse-Fourier value of the Green's function at one point.
 
     Integrates ``(1/2 pi) int e^{i z t} / (Theta_m(z) - kappa) dz`` along
@@ -211,7 +206,7 @@ def greens_quadrature_oracle(
     nodes, weights = _gauss_nodes()
 
     for attempt in range(3):
-        k = np.arange(lobes * (2**attempt))
+        k = np.arange(_ORACLE_LOBES * (2**attempt))
         left = k[:, None] * width
         xi = left + nodes[None, :] * width
         zp = xi + 1j * s
@@ -222,10 +217,10 @@ def greens_quadrature_oracle(
         partial = np.cumsum(lobe_ints)
         est, err = _euler_limit(partial[4:])
         scale = max(abs(est), 1e-300)
-        if err <= tol * scale and abs(est.imag) <= 1e-7 * scale:
+        if err <= _ORACLE_TOL * scale and abs(est.imag) <= 1e-7 * scale:
             return float(est.real) / (2.0 * math.pi)
     raise QuadratureError(
-        f"oracle did not reach rel tol {tol} at t={t}: err {err:.3e}, value {est:.6e}"
+        f"oracle did not reach rel tol {_ORACLE_TOL} at t={t}: err {err:.3e}, value {est:.6e}"
     )
 
 
@@ -296,23 +291,24 @@ def _two_sided_sweep(u, log_r):
     return out.reshape(log_r.size, u_blocks.size)[:, : u.size]
 
 
-def component_solutions(greens, h, threshold=1e-10):
+def component_solutions(greens, h):
     """Per-root particular solutions w_j = k_j * h on h's grid, by variation of constants.
 
-    Axis and complex roots have the kernel ``e^{-lambda_j |t|}``,
-    ``lambda_j = sigma_j + i tau_j``, and w_j solves ``w_j'' - lambda_j^2
-    w_j = -2 lambda_j h``; the unstable real pair has ``sin(tau_0 t)
-    chi_{t<0}`` and solves ``w_0'' + tau_0^2 w_0 = -tau_0 h``.  With ``u``
-    the trapezoid-weighted source and ``r = e^{-lambda_j step}``, ``w_j =
-    L + R - u`` for the sweeps ``L[i] = r L[i-1] + u[i]`` and ``R[i] = r
-    R[i+1] + u[i]``; the sine component is ``(R(e^{-i tau_0 step}) -
-    R(e^{i tau_0 step})) / 2i``.  This is the trapezoid convolution of
-    :func:`solve_convolution`, but no power of ``r`` exceeds 1 in modulus,
-    so the round-off is relative to the local size of ``|k_j| * |u|`` (for
-    the sine, of ``|u|`` summed to the right), not to the peak.  All roots
-    sweep together, in numpy alone.
+    Axis roots have the kernel ``e^{-lambda_j |t|}``, ``lambda_j =
+    sigma_j``, and w_j solves ``w_j'' - lambda_j^2 w_j = -2 lambda_j h``;
+    the unstable real pair has ``sin(tau_0 t) chi_{t<0}`` and solves
+    ``w_0'' + tau_0^2 w_0 = -tau_0 h``.  With ``u`` the trapezoid-weighted
+    source and ``r = e^{-lambda_j step}``, ``w_j = L + R - u`` for the
+    sweeps ``L[i] = r L[i-1] + u[i]`` and ``R[i] = r R[i+1] + u[i]``; the
+    sine component is ``(R(e^{-i tau_0 step}) - R(e^{i tau_0 step})) /
+    2i``.  This is the trapezoid convolution of :func:`solve_convolution`,
+    but no power of ``r`` exceeds 1 in modulus, so the round-off is
+    relative to the local size of ``|k_j| * |u|`` (for the sine, of ``|u|``
+    summed to the right), not to the peak.  All roots sweep together, in
+    numpy alone.  The source must decay to 1e-10 of its peak at the
+    window's ends.
     """
-    h.require_decay(threshold)
+    h.require_decay()
     u = h.samples * (h.step * trapezoid_weights(h.n_points))
     roots = greens.roots
     sine = roots[0].sigma == 0.0  # the unstable regime's real pair comes first
@@ -325,31 +321,33 @@ def component_solutions(greens, h, threshold=1e-10):
     return out
 
 
-def solve_ode_system(greens, h, threshold=1e-10):
-    """Reassembled solution Re sum_j (c_j + i c'_j) w_j.
+def solve_ode_system(greens, h):
+    """Reassembled solution Re sum_j c_j w_j.
 
     The quadrature of :func:`solve_convolution`, reached by the per-root
     sweeps instead of one FFT, so the two agree to round-off; the
     components are what the Wronskian machinery consumes.
     """
     if np.max(np.abs(h.samples.imag)) != 0.0:
-        re = solve_ode_system(greens, h.with_samples(h.samples.real + 0j), threshold)
-        im = solve_ode_system(greens, h.with_samples(h.samples.imag + 0j), threshold)
+        re = solve_ode_system(greens, h.with_samples(h.samples.real + 0j))
+        im = solve_ode_system(greens, h.with_samples(h.samples.imag + 0j))
         return h.with_samples(re.samples + 1j * im.samples)
-    comps = component_solutions(greens, h, threshold)
+    comps = component_solutions(greens, h)
     acc = sum(g * w.samples for g, w in zip(greens.gamma_coefficients, comps))
     return h.with_samples(acc.real + 0j)
 
 
-def asymptotic_coefficients(roots, h, count=None):
+def asymptotic_coefficients(roots, h):
     """Weighted moments giving the t -> +infinity amplitudes of G * h.
 
     Entry j is ``C_j = int e^{sigma_j t} h(t) dt`` for an axis root and
     the pair ``(int e^{sigma_j t} cos(tau_j t) h, int e^{sigma_j t}
     sin(tau_j t) h)`` for an oscillatory one.  Requires h to decay
-    strictly faster than the largest weight used.
+    strictly faster than the largest weight used.  The weight multiplies
+    ``|h|`` in the exponent, ``exp(sigma_j t + log|h|) h/|h|``, so it
+    cannot overflow; a real source gives real moments.
     """
-    used = list(roots) if count is None else list(roots)[:count]
+    used = list(roots)
     if not used:
         return []
     if np.max(np.abs(h.samples)) == 0.0:
@@ -364,21 +362,20 @@ def asymptotic_coefficients(roots, h, count=None):
             f"is e^(+{sigma_max:.3f} t); moments would diverge"
         )
     t = h.t
+    vals = h.samples if np.any(h.samples.imag) else h.samples.real
+    mag = np.abs(vals)
+    unit = vals / np.where(mag == 0.0, 1.0, mag)  # h/|h|, 0 where h is
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(mag)
     out = []
     for r in used:
-        with np.errstate(divide="ignore"):
-            grown = np.exp(r.sigma * t + np.log(h.samples.astype(complex)))
-        grown = np.where(h.samples == 0.0, 0.0, grown)
+        grown = np.exp(r.sigma * t + log_mag) * unit
         if r.tau == 0.0:
-            val = complex(trapezoid(grown, h.step))
-            out.append(val.real if abs(val.imag) == 0.0 else val)
+            out.append(trapezoid(grown, h.step).item())
         else:
-            c1 = complex(trapezoid(np.cos(r.tau * t) * grown, h.step))
-            c2 = complex(trapezoid(np.sin(r.tau * t) * grown, h.step))
-            if abs(c1.imag) == 0.0 and abs(c2.imag) == 0.0:
-                out.append((c1.real, c2.real))
-            else:
-                out.append((c1, c2))
+            c1 = trapezoid(np.cos(r.tau * t) * grown, h.step).item()
+            c2 = trapezoid(np.sin(r.tau * t) * grown, h.step).item()
+            out.append((c1, c2))
     return out
 
 
@@ -411,17 +408,15 @@ def convolution_decay(a, a_plus, a_minus):
     )
 
 
-def apply_symbol(params, mode, w, shifted=False):
+def apply_symbol(params, mode, w):
     """Apply the symbol as a Fourier multiplier on the (periodized) window.
 
     The grid is treated as one period; the wrap-around error is of the
     order of the function's endpoint magnitude, so inputs should satisfy
-    the window-decay invariant.  With ``shifted=True`` the subcritically
-    shifted symbol is applied instead (complex-valued on the real axis).
+    the window-decay invariant.
     """
     xi = angular_frequencies(w.n_points, w.step)
-    sym = theta_shifted(params, mode, xi) if shifted else theta(params, mode, xi)
-    out = multiply(sym, w.samples)
-    if np.max(np.abs(w.samples.imag)) == 0.0 and not shifted:
+    out = multiply(theta(params, mode, xi), w.samples)
+    if np.max(np.abs(w.samples.imag)) == 0.0:
         out = out.real + 0j  # real symbol, real input
     return w.with_samples(out)

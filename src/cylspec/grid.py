@@ -189,10 +189,6 @@ class GridFunction:
     def n_points(self):
         return self.samples.size
 
-    @property
-    def real_samples(self):
-        return self.samples.real
-
     def with_samples(self, samples):
         """Same lattice, new values."""
         return GridFunction(self.t_min, self.t_max, self.step, samples)

@@ -57,6 +57,7 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAXIT = 50
 _BISECT_MAXIT = 100
 _TRIES = 200  # bracket attempts per end
+_KAPPA_MAX = 1e8  # where the continuation of find_lambda_prime gives up
 _AXIS = 1j  # roots z = i sigma
 _REAL = 1.0 + 0j  # the real pair z = +-tau
 
@@ -191,7 +192,7 @@ def _solve(params, mode, kappa, specs):
     return x
 
 
-def _winding(params, mode, kappa, corners, max_points=400_000):
+def _winding(params, mode, kappa, corners):
     """Winding number of Theta_m - kappa around a closed polygon.
 
     Counts zeros minus poles.  The boundary phase is tracked through
@@ -208,7 +209,7 @@ def _winding(params, mode, kappa, corners, max_points=400_000):
         bad = np.abs(steps) > 1.2
         if not np.any(bad):
             break
-        if z.size > max_points:
+        if z.size > 400_000:
             raise QuadratureError("contour refinement budget exhausted")
         idx = np.nonzero(bad)[0]
         mids = 0.5 * (z[idx] + np.roll(z, -1)[idx])
@@ -325,8 +326,10 @@ def _assemble(params, mode, kappa, locations):
     located = [(sigma, 0.0 if abs(tau) < 1e-9 else tau) for sigma, tau in sorted(locations)]
     z = np.array([complex(tau, sigma) for sigma, tau in located])
     resid = np.abs(theta(params, mode, z) - kappa)
-    for zj, rj in zip(z, resid):
-        if rj > ROOT_RESIDUAL_TOL:
+    # Theta grows like |z|^(2 gamma), and so does its round-off.
+    tol = ROOT_RESIDUAL_TOL * np.maximum(1.0, np.abs(z) ** (2.0 * params.gamma))
+    for zj, rj, tj in zip(z, resid, tol):
+        if rj > tj:
             raise NoRootError(f"candidate at z={complex(zj)} has symbol residual {rj:.3e}")
     slopes = theta_derivative(params, mode, z)
     return [
@@ -395,28 +398,26 @@ def _residue(sigma, tau, d):
     return r
 
 
-def find_lambda_prime(params, mode=0, kappa_max=1e8, samples_per_decade=6):
-    """Level at which a second root pair would reach the real axis.
+def find_lambda_prime(params, mode=0):
+    """Level at which a second root pair would reach the real axis; always raises.
 
     Continuation in ``kappa`` upward from the mode threshold, tracking
-    the second root ``sigma_1``.  Returns the crossing level if the
-    tracked root reaches ``sigma <= 1e-6``.  For the radial mode this
-    never happens: ``sigma_1`` is trapped above the first symbol pole
-    ``2 A_m``, decreasing toward it like ``1/kappa``, and the
-    continuation reports that plateau as :class:`ContinuationError`
-    rather than inventing a finite level.
+    the second root ``sigma_1``.  No such level exists: the root search
+    keeps ``sigma_1`` inside its window ``(2 A_m, 2 B_m + 2)``, above the
+    first symbol pole ``2 A_m > 1``, and it decreases toward that pole
+    like ``1/kappa``.  The continuation reports the plateau, or failing
+    that the end of its range ``kappa <= 1e8``, as
+    :class:`ContinuationError` rather than inventing a finite level.
     """
     a, b = mode_constants(params, mode)
     lam_m = float(_values(params, mode, _AXIS, 0.0))
     floor = 2.0 * a
     kap = lam_m * 1.01
-    ratio = 10.0 ** (1.0 / samples_per_decade)
+    ratio = 10.0 ** (1.0 / 6)  # six levels per decade
     prev_gap = None
     sigma1 = None
-    while kap <= kappa_max:
+    while kap <= _KAPPA_MAX:
         sigma1 = float(_solve(params, mode, kap, [_window(a, b, 1)])[0])
-        if sigma1 <= 1e-6:
-            return kap
         gap = sigma1 - floor
         if prev_gap is not None and gap < 1e-3 * floor and gap > 0.25 * prev_gap:
             raise ContinuationError(
@@ -427,5 +428,5 @@ def find_lambda_prime(params, mode=0, kappa_max=1e8, samples_per_decade=6):
         prev_gap = gap
         kap *= ratio
     raise ContinuationError(
-        f"tracked sigma_1 = {sigma1} still above 1e-6 at kappa_max = {kappa_max}"
+        f"tracked sigma_1 = {sigma1} still above 1e-6 at kappa_max = {_KAPPA_MAX}"
     )

@@ -123,11 +123,7 @@ def bubble_residual(params: CylinderParams, profile: GridFunction) -> float:
         sym = theta(params, 0, angular_frequencies(w.size, profile.step))
         applied = multiply(sym, w).real
     else:
-        edge = max(abs(w[0]), abs(w[-1])) / peak
-        if edge > DECAY_MARGIN_MAX:
-            raise WindowError(
-                f"window edge ratio {edge:.3e} exceeds {DECAY_MARGIN_MAX:.0e}; widen the grid"
-            )
+        profile.require_decay(DECAY_MARGIN_MAX)
         rate = 0.5 * (params.n - 2.0 * params.gamma)
         applied = _tail_padded_multiplier(params, w, profile.step, rate)
     rhs = params.lam * np.sign(w) * np.abs(w) ** params.p
@@ -201,12 +197,7 @@ def _pencil_rates(t, y):
     return list(zip(sigma[keep].tolist(), tau[keep].tolist()))
 
 
-def frobenius_fit(
-    w: GridFunction,
-    window=None,
-    candidate_roots=None,
-    residual_threshold: float = FIT_RESIDUAL_MAX,
-) -> AsymptoticFit:
+def frobenius_fit(w: GridFunction, window=None, candidate_roots=None) -> AsymptoticFit:
     """Fit the leading decaying term of a profile tail.
 
     The default window runs from the first to the last tail sample of
@@ -216,7 +207,7 @@ def frobenius_fit(
     finds in the window (:func:`_pencil_rates`).  The candidate whose
     single term fits the window best by linear least squares is the
     leading term.  Raises NoFitError when its normalized RMS misfit
-    exceeds residual_threshold.
+    exceeds FIT_RESIDUAL_MAX.
     """
     vals = w.samples.real
     tg = w.t
@@ -249,9 +240,9 @@ def frobenius_fit(
         if not rates:
             raise NoFitError("the fit window holds no decaying term")
     resid, sigma, tau, amps = _candidate_fit(t, yn, rates)
-    if not resid <= residual_threshold:
+    if not resid <= FIT_RESIDUAL_MAX:
         raise NoFitError(
-            f"best tail fit misses by {resid:.3e} (threshold {residual_threshold:.0e})"
+            f"best tail fit misses by {resid:.3e} (threshold {FIT_RESIDUAL_MAX:.0e})"
         )
     return AsymptoticFit(
         sigma=float(sigma),

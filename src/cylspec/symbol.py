@@ -280,23 +280,18 @@ def theta_derivative(params, mode, z):
 
     At the symbol zeros (denominator Gamma poles) the log-derivative
     form is 0 * inf; there the derivative is the finite limit obtained
-    from the reciprocal-Gamma residue, 1/G(s) ~ (-1)^j j! (s + j).
+    from the reciprocal-Gamma residue, 1/G(s) ~ (-1)^j j! (s + j).  At
+    the symbol poles :func:`_gamma_ratio_exp` raises :class:`PoleError`.
     """
     a, b = mode_constants(params, mode)
     z = np.asarray(z, dtype=np.complex128)
     shape = z.shape
     w = 0.5j * np.atleast_1d(z).ravel()
     c = 2.0 * params.gamma * _LOG2
-    if np.any(near_pole(a + w) | near_pole(a - w)):
-        raise PoleError("symbol derivative evaluated at a pole (numerator Gamma)")
-    at1, at2 = near_pole(b + w), near_pole(b - w)  # disjoint since b > 0
-    out = np.empty_like(w)
-    reg = ~(at1 | at2)
-    if np.any(reg):
-        wr = w[reg]
-        th, logd = _gamma_ratio_exp(a, b, wr, c, slope=True)
-        out[reg] = th * 0.5j * logd
-    for idx in np.nonzero(at1 | at2)[0]:
+    th, logd = _gamma_ratio_exp(a, b, w, c, slope=True)
+    out = th * 0.5j * logd
+    at1 = near_pole(b + w)
+    for idx in np.nonzero(at1 | near_pole(b - w))[0]:  # disjoint since b > 0
         wi = w[idx]
         # The vanishing Gamma argument is b + s wi = -j; log j! joins the
         # exponent so that large j cannot overflow.
@@ -339,14 +334,14 @@ def stability_classify(params):
     return "stable" if margin < 0.0 else "unstable"
 
 
-def solve_p1(n, gamma, residual_tol=1e-10):
+def solve_p1(n, gamma):
     """Exponent at which ``p A(p) = Lambda``, by bisection.
 
     The product is increasing across the bracket: it tends to
     ``-Lambda`` at the lower endpoint (where ``A`` collapses through a
     Gamma pole) and equals ``(p_crit - 1) Lambda > 0`` at the critical
     exponent.  The returned root satisfies ``|p1 A(p1) - Lambda| <=
-    residual_tol``.
+    1e-10``.
     """
     lam = hardy_constant(n, gamma)
 
@@ -371,8 +366,8 @@ def solve_p1(n, gamma, residual_tol=1e-10):
             lo = mid
     p1 = 0.5 * (lo + hi)
     res = abs(margin(p1))
-    if res > residual_tol:
-        raise DomainError(f"bisection residual {res:.3e} exceeds {residual_tol}")
+    if res > 1e-10:
+        raise DomainError(f"bisection residual {res:.3e} exceeds 1e-10")
     return p1
 
 

@@ -244,6 +244,29 @@ def test_wronskian_defect_report(tmp_path, capsys):
     assert doc["metadata"]["defect_sup"] <= 5e-3
 
 
+def test_wronskian_rejects_a_wide_source_before_solving(tmp_path, capsys, monkeypatch):
+    # The Wronskian needs sources that decay to 1e-10 of their peak; a
+    # source at 1e-8 fails in the first solve's decay check, whatever
+    # --tolerance says, before any convolution runs.
+    wide = GridFunction.from_callable(lambda t: np.exp(-((t / 30.0) ** 2) * np.log(1e8)))
+    first = GridFunction.from_callable(lambda t: np.exp(-(t**2)))
+    wide.to_csv(tmp_path / "wide.csv")
+    first.to_csv(tmp_path / "h.csv")
+
+    def no_convolution(*args):
+        raise AssertionError("solved before the decay check")
+
+    monkeypatch.setattr("cylspec.greens.fftconvolve", no_convolution)
+    code, out = _run(
+        capsys,
+        ["wronskian", "--n", "3", "--gamma", "0.5", "--kappa", "0.3",
+         "--source", str(tmp_path / "wide.csv"), "--source-tilde", str(tmp_path / "h.csv")],
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["error"] == "WindowError" and "above 1.0e-10" in doc["message"]
+
+
 def test_frobenius_on_solved_profile(tmp_path, capsys):
     prof_path = tmp_path / "profile.csv"
     code, _ = _run(

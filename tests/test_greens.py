@@ -23,7 +23,7 @@ from cylspec.greens import (
     solve_convolution,
     solve_ode_system,
 )
-from cylspec.grid import GridFunction, trapezoid_weights
+from cylspec.grid import GridFunction, trapezoid, trapezoid_weights
 from cylspec.symbol import CylinderParams, mode_constants, theta
 
 # Frozen 30-digit oscillatory-quadrature values of the inverse Fourier
@@ -178,6 +178,21 @@ def test_solver_equivalence_and_linearity():
         assert np.max(np.abs(wc.samples - lin)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("params", [P03, P08], ids=["stable", "unstable"])
+def test_complex_source_solves_each_part(params):
+    # A complex source is solved as its real and imaginary parts, each a
+    # real source, so the result is bit for bit the two solves combined.
+    series = build_greens(params, mode=0, truncation=12)
+    h1 = _gauss(width=1.0)
+    h2 = GridFunction.from_callable(
+        lambda t: np.exp(-0.4 * t**2) * np.cos(t) + 0j, -30.0, 30.0, 2.0**-7
+    )
+    h = h1.with_samples(h1.samples.real + 1j * h2.samples.real)
+    for solve in (solve_convolution, solve_ode_system):
+        want = solve(series, h1).samples + 1j * solve(series, h2).samples
+        assert np.array_equal(solve(series, h).samples, want)
+
+
 def test_component_ode_residuals():
     h = _gauss(width=1.2)
     series = build_greens(P03, mode=0, truncation=6)
@@ -323,6 +338,22 @@ def test_asymptotic_coefficients_closed_form():
     assert asymptotic_coefficients(series.roots[:2], zero) == [0.0, 0.0]
 
 
+def test_asymptotic_coefficients_of_a_sign_changing_source_are_real():
+    series = build_greens(P03, mode=0, truncation=4)
+    h = GridFunction.from_callable(
+        lambda t: np.exp(-4.0 * np.abs(t)) * np.cos(t) + 0j, -30.0, 30.0, 2.0**-7
+    )
+    coeffs = asymptotic_coefficients(series.roots[:2], h)
+    assert all(type(c) is float for c in coeffs)
+    for root, c in zip(series.roots, coeffs):
+        want = trapezoid(np.exp(root.sigma * h.t) * h.samples.real, h.step)
+        assert abs(c - want) <= 1e-14 * abs(want)
+    # A complex source keeps its phase.
+    turned = asymptotic_coefficients(series.roots[:2], h * (1.0 + 1.0j))
+    for c, t in zip(coeffs, turned):
+        assert type(t) is complex and abs(t - (1.0 + 1.0j) * c) <= 1e-14 * abs(c)
+
+
 def test_asymptotic_amplitude_law():
     series = build_greens(P03, mode=0, truncation=12)
     h = GridFunction.from_callable(
@@ -428,6 +459,27 @@ def test_kept_sums_converge_to_closed_form_moments(n, gamma, kappa):
         t3, t5 = (abs(s / f) for s, f in zip(short.dropped_moments()[1:], full))
         assert s3 < 1e-4 and s5 < 1e-7
         assert s3 < t3 and s5 < t5
+
+
+@pytest.mark.parametrize("mode", range(4))
+def test_long_series_builds_when_gamma_is_near_one(mode):
+    # Theta grows like |z|^(2 gamma), about 5e4 at the last root z = 300i
+    # here, and its round-off with it; an absolute residual bound of 1e-8
+    # rejected these roots.  They match 40-digit mpmath to round-off.
+    params = CylinderParams(n=2, gamma=0.95, kappa=0.5)
+    series = build_greens(params, mode, 150)
+    a, b = mode_constants(params, mode)
+    with mpmath.workdps(40):
+        a, b, g = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(params.gamma)
+
+        def level(sigma):  # Theta_m(i sigma) - kappa
+            s = sigma / 2
+            ratio = mpmath.gamma(a - s) * mpmath.gamma(a + s)
+            return 2 ** (2 * g) * ratio * mpmath.rgamma(b - s) * mpmath.rgamma(b + s) - 0.5
+
+        for root in series.roots[-20:]:
+            exact = mpmath.findroot(level, mpmath.mpf(root.sigma))
+            assert abs(root.sigma - float(exact)) <= 4e-16 * root.sigma
 
 
 def test_dropped_moments_need_a_decaying_series():

@@ -116,6 +116,13 @@ def test_symbol_axis_zeros_and_poles():
         theta(P35, 0, 2j)
 
 
+def test_symbol_derivative_raises_at_symbol_poles():
+    a, _ = mode_constants(P35, 0)
+    for z in (2j * a, -2j * a, [1.0, 2j * a + 2j]):
+        with pytest.raises(PoleError):
+            theta_derivative(P35, 0, z)
+
+
 def test_symbol_derivative_matches_finite_difference():
     rng = np.random.default_rng(5)
     h = 1e-6
