@@ -1,12 +1,12 @@
 """Batch front end: one subcommand per computation, reproducible artifacts.
 
-Each invocation resolves its flags into a single JobConfig, runs one
-computation, and writes one artifact, a CSV table or a JSON document,
-with the full configuration echoed inside.  Output is deterministic
-for a fixed config: summation orders are fixed and nothing reads the
-clock.  Exit codes: 0 on success, 2 for a rejected configuration, 3
-for a numerical failure, the failing error class named in a JSON
-report on stdout.
+Each invocation parses its flags into one namespace, which is the
+job's config, runs one computation, and writes one artifact, a CSV table
+or a JSON document, with the full configuration echoed inside.  Output
+is deterministic for a fixed config: summation orders are fixed and
+nothing reads the clock.  Exit codes: 0 on success, 2 for a rejected
+configuration, 3 for a numerical failure, the failing error class named
+in a JSON report on stdout.
 """
 
 from __future__ import annotations
@@ -29,62 +29,10 @@ from .nonlinear import solve_profile
 from .profiles import bubble, bubble_residual, cylinder_constant, frobenius_fit
 from .symbol import CylinderParams, theta
 
-__all__ = ["JobConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 # These produce scalar reports with no natural tabular form.
 _REPORT_ONLY = ("verify-bubble", "pohozaev", "frobenius")
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """Fully resolved description of one batch job."""
-
-    command: str
-    params: CylinderParams
-    mode: int
-    t_min: float
-    t_max: float
-    step: float
-    truncation: int
-    tolerance: float
-    output: str | None
-    fmt: str
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
-        if self.truncation < 1:
-            raise ValidationError(
-                f"truncation must be at least 1, got {self.truncation}"
-            )
-        if self.step <= 0.0 or self.t_max <= self.t_min:
-            raise ValidationError(
-                f"grid [{self.t_min}, {self.t_max}] with step {self.step} is empty"
-            )
-        if self.fmt == "csv" and self.command in _REPORT_ONLY:
-            raise ValidationError(
-                f"{self.command} emits a JSON report; use --format json"
-            )
-
-    def echo(self):
-        """Flat provenance record embedded in every artifact."""
-        doc = {
-            "command": self.command,
-            "n": self.params.n,
-            "gamma": self.params.gamma,
-            "p": self.params.p,
-            "kappa": self.params.kappa,
-            "mode": self.mode,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "step": self.step,
-            "truncation": self.truncation,
-            "tolerance": self.tolerance,
-            "format": self.fmt,
-        }
-        doc.update(self.extras)
-        return doc
 
 
 @dataclass
@@ -118,7 +66,7 @@ def _default_guess(cfg):
 
 
 def _job_symbol(cfg):
-    xi = np.asarray(cfg.extras["xi"], dtype=float)
+    xi = np.asarray(cfg.xi, dtype=float)
     vals = np.atleast_1d(np.asarray(theta(cfg.params, cfg.mode, xi), dtype=complex))
     rows = [
         (_FMT % x, _FMT % v.real, _FMT % v.imag) for x, v in zip(xi, vals)
@@ -134,7 +82,7 @@ def _job_symbol(cfg):
 
 
 def _job_poles(cfg):
-    roots = find_roots(cfg.params, cfg.mode, count=cfg.extras["count"])
+    roots = find_roots(cfg.params, cfg.mode, count=cfg.count)
     header = ("index", "sigma", "tau", "residue_re", "residue_im")
     listing = [
         dict(zip(header, (r.index, r.sigma, r.tau, r.residue.real, r.residue.imag)))
@@ -157,20 +105,19 @@ def _job_greens(cfg):
 
 
 def _job_solve_linear(cfg):
-    source = _load_grid(cfg.extras["source"])
+    source = _load_grid(cfg.source)
     series = build_greens(cfg.params, cfg.mode, truncation=cfg.truncation)
-    solution = solve_convolution(series, source, threshold=cfg.tolerance)
+    solution = solve_convolution(series, source)
     return JobResult(report={"tail_bound": series.tail_bound}, grid=solution)
 
 
 def _job_solve_profile(cfg):
-    guess_path = cfg.extras["guess"]
-    guess = _load_grid(guess_path) if guess_path else _default_guess(cfg)
+    guess = _load_grid(cfg.guess) if cfg.guess else _default_guess(cfg)
     outcome = solve_profile(
         cfg.params,
         guess,
         tolerance=cfg.tolerance,
-        max_iterations=cfg.extras["max_iterations"],
+        max_iterations=cfg.max_iterations,
     )
     return JobResult(report=outcome.as_metadata(), grid=outcome.solution)
 
@@ -199,9 +146,8 @@ def _job_pohozaev(cfg):
     if not cfg.params.is_critical:
         raise ValidationError("the identity holds at the critical exponent only")
     report = {}
-    input_path = cfg.extras["input"]
-    if input_path:
-        solution = _load_grid(input_path)
+    if cfg.input:
+        solution = _load_grid(cfg.input)
     else:
         outcome = solve_profile(cfg.params, _default_guess(cfg), tolerance=cfg.tolerance)
         solution = outcome.solution
@@ -223,8 +169,8 @@ def _job_pohozaev(cfg):
 
 
 def _job_wronskian(cfg):
-    h = _load_grid(cfg.extras["source"])
-    h_tilde = _load_grid(cfg.extras["source_tilde"])
+    h = _load_grid(cfg.source)
+    h_tilde = _load_grid(cfg.source_tilde)
     h.require_same_grid(h_tilde)
     series = build_greens(cfg.params, cfg.mode, truncation=cfg.truncation)
     w = solve_convolution(series, h)
@@ -239,14 +185,13 @@ def _job_wronskian(cfg):
 
 
 def _job_frobenius(cfg):
-    profile = _load_grid(cfg.extras["input"])
+    profile = _load_grid(cfg.input)
     candidates = None
-    if cfg.extras["use_roots"]:
+    if cfg.use_roots:
         candidates = find_roots(cfg.params, cfg.mode, count=cfg.truncation)
-    window = cfg.extras["window"]
     fit = frobenius_fit(
         profile,
-        window=tuple(window) if window else None,
+        window=tuple(cfg.window) if cfg.window else None,
         candidate_roots=candidates,
     )
     report = {
@@ -274,7 +219,7 @@ _HANDLERS = {
 
 
 def _render(cfg, result):
-    echo = cfg.echo()
+    echo = _echo(cfg)
     if cfg.fmt == "json":
         doc = {"metadata": {"config": echo, **result.report}}
         if result.grid is not None:
@@ -318,8 +263,8 @@ def _add_command(sub, name, help_text):
         "--tolerance",
         type=float,
         default=1e-6,
-        help="source decay (solve-linear), Newton residual (solve-profile, pohozaev), "
-        "profile residual (verify-bubble) (default: 1e-6)",
+        help="Newton residual (solve-profile, pohozaev), profile residual "
+        "(verify-bubble) (default: 1e-6)",
     )
     p.add_argument("--output", default=None, help="artifact path (default: stdout)")
     p.add_argument(
@@ -397,36 +342,34 @@ def _build_parser():
     return parser
 
 
-# The flags each subcommand adds to its config, by argparse destination.
-_EXTRAS = {
-    "symbol": ("xi",),
-    "poles": ("count",),
-    "solve-linear": ("source",),
-    "solve-profile": ("guess", "max_iterations"),
-    "pohozaev": ("input",),
-    "wronskian": ("source", "source_tilde"),
-    "frobenius": ("input", "window", "use_roots"),
-}
+def _check(args):
+    """Reject the flags that CylinderParams does not check, first failure first."""
+    if args.tolerance <= 0.0:
+        raise ValidationError(f"tolerance must be positive, got {args.tolerance}")
+    if args.truncation < 1:
+        raise ValidationError(f"truncation must be at least 1, got {args.truncation}")
+    if args.step <= 0.0 or args.t_max <= args.t_min:
+        raise ValidationError(
+            f"grid [{args.t_min}, {args.t_max}] with step {args.step} is empty"
+        )
+    if args.fmt == "csv" and args.command in _REPORT_ONLY:
+        raise ValidationError(f"{args.command} emits a JSON report; use --format json")
 
 
 def _resolve(args):
-    params = CylinderParams(n=args.n, gamma=args.gamma, p=args.p, kappa=args.kappa)
-    extras = {name: getattr(args, name) for name in _EXTRAS.get(args.command, ())}
+    """The parsed flags as the job's config: ``params`` set, ``--count`` resolved, checked."""
+    args.params = CylinderParams(n=args.n, gamma=args.gamma, p=args.p, kappa=args.kappa)
     if args.command == "poles" and args.count is None:
-        extras["count"] = args.truncation
-    return JobConfig(
-        command=args.command,
-        params=params,
-        mode=args.mode,
-        t_min=args.t_min,
-        t_max=args.t_max,
-        step=args.step,
-        truncation=args.truncation,
-        tolerance=args.tolerance,
-        output=args.output,
-        fmt=args.fmt,
-        extras=extras,
-    )
+        args.count = args.truncation
+    _check(args)
+    return args
+
+
+def _echo(args):
+    """Flat provenance record embedded in every artifact: the flags, with p resolved."""
+    doc = {k: v for k, v in vars(args).items() if k not in ("output", "fmt", "params")}
+    doc.update(p=args.params.p, format=args.fmt)
+    return doc
 
 
 def _error_report(args, exc):

@@ -67,7 +67,7 @@ _ORACLE_TOL = 1e-9  # the oracle's relative tolerance
 class GreensSeries:
     """Truncated exponential series for the Green's function of one mode.
 
-    ``roots[j]`` carries the pole, ``coefficients[j] = (c_j, 0.0)`` the
+    ``roots[j]`` carries the pole, the float ``coefficients[j] = c_j`` the
     series weight.  ``tail_bound`` is the retained coefficient mass, a
     global (sup over t) size of the dropped terms, and ``tail_bound_at``
     scales it by the decay of the first dropped exponential.  Both are
@@ -90,7 +90,7 @@ class GreensSeries:
         t = np.asarray(t, dtype=np.float64)
         at = np.abs(t)
         out = np.zeros(at.shape)
-        for root, (c, _) in zip(self.roots, self.coefficients):
+        for root, c in zip(self.roots, self.coefficients):
             if root.sigma == 0.0:
                 out = out + c * np.sin(root.tau * t) * (t < 0.0)
             else:
@@ -102,32 +102,27 @@ class GreensSeries:
         return self.tail_bound * np.exp(-self.sigma_next * np.abs(t))
 
     @property
-    def gamma_coefficients(self):
-        """Weights c_j as complex numbers, one per root."""
-        return np.array([complex(c, cp) for c, cp in self.coefficients])
-
-    @property
     def decay_exponents(self):
-        """Exponents ``lambda_j = sigma_j + i tau_j`` of a decaying series, one per root."""
+        """Decay rates ``sigma_j`` of a decaying series, one per root."""
         if self.regime == REGIME_UNSTABLE:
             raise ValidationError(
                 "a decaying series is required; the series has a purely oscillatory mode"
             )
-        return np.array([root.decay for root in self.roots])
+        return np.array([root.sigma for root in self.roots])
 
     def dropped_moments(self):
         """Moments ``(s1, s3, s5)`` of the roots the truncation drops; stable regime only.
 
-        On a smooth source a large root's component is ``w_j = (2/lambda_j)
-        h + (2/lambda_j^3) h'' + ...``, so the dropped roots act as ``2 s1 h
-        + 2 s3 h'' + 2 s5 h''''``, ``s_k = sum_dropped Re(g_j/lambda_j^k)``.
+        On a smooth source a large root's component is ``w_j = (2/sigma_j)
+        h + (2/sigma_j^3) h'' + ...``, so the dropped roots act as ``2 s1 h
+        + 2 s3 h'' + 2 s5 h''''``, ``s_k = sum_dropped c_j/sigma_j^k``.
         Over all roots the sums are ``q(0)/2``, ``-q''(0)/4``, ``q''''(0)/48``
         for ``q = 1/(Theta_m - kappa)``, in closed form since at 0 ``(log
         Theta_m)'' = (psi'(B_m) - psi'(A_m))/2`` and ``(log Theta_m)'''' =
         (psi'''(A_m) - psi'''(B_m))/8`` (Abramowitz & Stegun 6.4).
         """
-        lams = self.decay_exponents
-        ratios = self.gamma_coefficients / lams
+        sigmas = self.decay_exponents
+        ratios = np.array(self.coefficients) / sigmas
         a, b = mode_constants(self.params, self.mode)
         theta0 = complex(theta(self.params, self.mode, 0.0)).real
         l2 = 0.5 * (polygamma(1, b) - polygamma(1, a))
@@ -137,9 +132,9 @@ class GreensSeries:
         q2 = -t2 / d**2
         q4 = -t4 / d**2 + 6.0 * t2 * t2 / d**3
         return (
-            0.5 / d - float(np.sum(ratios.real)),
-            -0.25 * q2 - float(np.sum((ratios / lams**2).real)),
-            q4 / 48.0 - float(np.sum((ratios / lams**4).real)),
+            0.5 / d - float(np.sum(ratios)),
+            -0.25 * q2 - float(np.sum(ratios / sigmas**2)),
+            q4 / 48.0 - float(np.sum(ratios / sigmas**4)),
         )
 
 
@@ -150,14 +145,11 @@ def build_greens(params, mode=0, truncation=12):
     roots = find_roots(params, mode, count=truncation + 2)
     kept, next_root = roots[: truncation + 1], roots[truncation + 1]
     regime = REGIME_UNSTABLE if kept[0].sigma == 0.0 else REGIME_STABLE
-    coefficients = []
-    for root in kept:
-        r = root.residue
-        if root.sigma == 0.0:
-            coefficients.append((2.0 * r.real, 0.0))  # one-sided sine weight
-        else:
-            coefficients.append((-r.imag, 0.0))
-    mass = sum(abs(c) for c, _ in coefficients)
+    # The one-sided sine's weight is 2 Re R_0, an axis root's -Im R_j.
+    coefficients = [
+        2.0 * r.residue.real if r.sigma == 0.0 else -r.residue.imag for r in kept
+    ]
+    mass = sum(abs(c) for c in coefficients)
     return GreensSeries(
         params=params,
         mode=mode,
@@ -237,12 +229,15 @@ def _euler_limit(partial):
     return best, abs(best - prev)
 
 
-def solve_convolution(greens, h, threshold=1e-10):
-    """Particular solution of (Theta_m(D) - kappa) w = h as G * h, by FFT convolution."""
-    h.require_decay(threshold)
+def solve_convolution(greens, h):
+    """Particular solution of (Theta_m(D) - kappa) w = h as G * h, by FFT convolution.
+
+    The source must decay to 1e-10 of its peak at the window's ends.
+    """
+    h.require_decay()
     if np.max(np.abs(h.samples.imag)) != 0.0:
-        re = solve_convolution(greens, h.with_samples(h.samples.real + 0j), threshold)
-        im = solve_convolution(greens, h.with_samples(h.samples.imag + 0j), threshold)
+        re = solve_convolution(greens, h.with_samples(h.samples.real + 0j))
+        im = solve_convolution(greens, h.with_samples(h.samples.imag + 0j))
         return h.with_samples(re.samples + 1j * im.samples)
     n = h.n_points
     kernel = greens((np.arange(2 * n - 1) - (n - 1)) * h.step)
@@ -284,7 +279,7 @@ def _two_sided_sweep(u, log_r):
     out = u_blocks @ powers[:, _LAG]
     last = _geometric_scan((u_blocks @ powers[:, _BLOCK - 1 :: -1].T).T, _BLOCK * log_r)
     first = _geometric_scan((u_blocks[::-1] @ powers[:, :_BLOCK].T).T, _BLOCK * log_r)
-    carry = np.zeros(out.shape[:2] + (2,), dtype=np.complex128)
+    carry = np.zeros(out.shape[:2] + (2,), dtype=out.dtype)
     carry[:, 1:, 0] = last[:, :-1]
     carry[:, :-1, 1] = first[:, -2::-1]
     out += carry @ np.stack([powers[:, 1:], powers[:, :0:-1]], axis=1)
@@ -294,26 +289,26 @@ def _two_sided_sweep(u, log_r):
 def component_solutions(greens, h):
     """Per-root particular solutions w_j = k_j * h on h's grid, by variation of constants.
 
-    Axis roots have the kernel ``e^{-lambda_j |t|}``, ``lambda_j =
-    sigma_j``, and w_j solves ``w_j'' - lambda_j^2 w_j = -2 lambda_j h``;
-    the unstable real pair has ``sin(tau_0 t) chi_{t<0}`` and solves
-    ``w_0'' + tau_0^2 w_0 = -tau_0 h``.  With ``u`` the trapezoid-weighted
-    source and ``r = e^{-lambda_j step}``, ``w_j = L + R - u`` for the
-    sweeps ``L[i] = r L[i-1] + u[i]`` and ``R[i] = r R[i+1] + u[i]``; the
-    sine component is ``(R(e^{-i tau_0 step}) - R(e^{i tau_0 step})) /
+    Axis roots have the kernel ``e^{-sigma_j |t|}``, and w_j solves
+    ``w_j'' - sigma_j^2 w_j = -2 sigma_j h``; the unstable real pair has
+    ``sin(tau_0 t) chi_{t<0}`` and solves ``w_0'' + tau_0^2 w_0 = -tau_0
+    h``.  With ``u`` the trapezoid-weighted source and ``r = e^{-sigma_j
+    step}``, ``w_j = L + R - u`` for the sweeps ``L[i] = r L[i-1] + u[i]``
+    and ``R[i] = r R[i+1] + u[i]``; the sine component is ``(R(e^{-i tau_0 step}) - R(e^{i tau_0 step})) /
     2i``.  This is the trapezoid convolution of :func:`solve_convolution`,
     but no power of ``r`` exceeds 1 in modulus, so the round-off is
     relative to the local size of ``|k_j| * |u|`` (for the sine, of ``|u|``
     summed to the right), not to the peak.  All roots sweep together, in
-    numpy alone.  The source must decay to 1e-10 of its peak at the
-    window's ends.
+    numpy alone, in float64 for a real source.  The source must decay to
+    1e-10 of its peak at the window's ends.
     """
     h.require_decay()
-    u = h.samples * (h.step * trapezoid_weights(h.n_points))
+    samples = h.samples if np.any(h.samples.imag) else h.samples.real
+    u = samples * (h.step * trapezoid_weights(h.n_points))
     roots = greens.roots
     sine = roots[0].sigma == 0.0  # the unstable regime's real pair comes first
-    lams = np.array([r.decay for r in roots[int(sine) :]], dtype=complex)
-    out = [h.with_samples(w) for w in _two_sided_sweep(u, -h.step * lams)]
+    sigmas = np.array([r.sigma for r in roots[int(sine) :]])
+    out = [h.with_samples(w) for w in _two_sided_sweep(u, -h.step * sigmas)]
     if sine:
         pair = 1j * h.step * roots[0].tau * np.array([-1.0, 1.0])
         right = _geometric_scan(np.stack([u[::-1]] * 2), pair)[:, ::-1]
@@ -333,7 +328,7 @@ def solve_ode_system(greens, h):
         im = solve_ode_system(greens, h.with_samples(h.samples.imag + 0j))
         return h.with_samples(re.samples + 1j * im.samples)
     comps = component_solutions(greens, h)
-    acc = sum(g * w.samples for g, w in zip(greens.gamma_coefficients, comps))
+    acc = sum(c * w.samples for c, w in zip(greens.coefficients, comps))
     return h.with_samples(acc.real + 0j)
 
 

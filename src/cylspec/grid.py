@@ -223,10 +223,6 @@ class GridFunction:
                 "widen the window"
             )
 
-    def trapz(self):
-        """Trapezoid integral over the window."""
-        return complex(trapezoid(self.samples, self.step))
-
     # -- arithmetic on a shared lattice ------------------------------------
 
     def __add__(self, other):

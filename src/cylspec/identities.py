@@ -3,7 +3,7 @@
 Both identities live on the component decomposition of a solved
 profile: each root j of the Green's series contributes a
 one-dimensional solution w_j, and the identities weight these by the
-series' own coefficients g_j and exponents lambda_j.  The Wronskian is
+series' own real coefficients c_j and decay rates sigma_j.  The Wronskian is
 the weighted sum of the pairwise 2x2 determinants; the Pohozaev check
 compares three weighted sums that the critical equation forces to agree
 after scaling, with the roots that the truncation drops restored by
@@ -32,14 +32,9 @@ _TAIL_RATE_FRACTION = 0.9
 _CONSISTENCY_TOL = 1e-6
 
 
-def _pairs(series):
-    """``(g_j, lambda_j)`` as Python complex; numpy's complex division differs by an ulp."""
-    return zip(series.gamma_coefficients.tolist(), series.decay_exponents.tolist())
-
-
 def _check_consistency(series, w, h, label):
     comps = component_solutions(series, h)
-    acc = sum(g * comp.samples for g, comp in zip(series.gamma_coefficients, comps))
+    acc = sum(c * comp.samples for c, comp in zip(series.coefficients, comps))
     scale = max(float(np.max(np.abs(w.samples))), 1e-300)
     if float(np.max(np.abs(acc.real - w.samples.real))) > _CONSISTENCY_TOL * scale:
         raise ValidationError(
@@ -59,14 +54,14 @@ def wronskian(
 
     Rebuilds the mode components of both profiles from their source
     terms, forms w_j * w~_j' - w_j' * w~_j with centered differences,
-    and sums with weights gamma_j / lambda_j, taking the real part at
-    the end.  The inputs w and w_tilde must be the series solutions of
+    and sums with weights c_j / sigma_j, taking the real part at the
+    end.  The inputs w and w_tilde must be the series solutions of
     h and h_tilde on the same grid.
     """
     w.require_same_grid(w_tilde)
     w.require_same_grid(h)
     w.require_same_grid(h_tilde)
-    weights = [g / lam for g, lam in _pairs(series)]
+    weights = np.array(series.coefficients) / series.decay_exponents
     comps = _check_consistency(series, w, h, "w")
     comps_t = _check_consistency(series, w_tilde, h_tilde, "w_tilde")
     step = w.step
@@ -145,13 +140,13 @@ def pohozaev_check(
     p = params.p
     step = solution.step
     h = solution.with_samples(np.sign(w) * np.abs(w) ** p + 0j)
-    grad_sum = 0.0 + 0.0j
-    mass_sum = 0.0 + 0.0j
-    for (g, lam), comp in zip(_pairs(series), component_solutions(series, h)):
-        vals = comp.samples
+    grad_sum = mass_sum = 0.0
+    comps = component_solutions(series, h)
+    for c, sigma, comp in zip(series.coefficients, series.decay_exponents, comps):
+        vals = comp.samples.real
         dvals = np.gradient(vals, step)
-        grad_sum += (g / lam) * trapezoid(dvals * dvals, step)
-        mass_sum += (g * lam) * trapezoid(vals * vals, step)
+        grad_sum += (c / sigma) * trapezoid(dvals * dvals, step)
+        mass_sum += (c * sigma) * trapezoid(vals * vals, step)
 
     hs = h.samples.real
     dh = np.gradient(hs, step)
@@ -160,8 +155,8 @@ def pohozaev_check(
     norm_dh = trapezoid(dh * dh, step)
     norm_ddh = trapezoid(ddh * ddh, step)
 
-    grad = grad_sum.real + 4.0 * norm_dh * s3 - 8.0 * norm_ddh * s5
-    mass = mass_sum.real + 4.0 * norm_h * s1 - 8.0 * norm_dh * s3
+    grad = grad_sum + 4.0 * norm_dh * s3 - 8.0 * norm_ddh * s5
+    mass = mass_sum + 4.0 * norm_h * s1 - 8.0 * norm_dh * s3
     rhs = float(trapezoid(np.abs(w) ** (p + 1.0), step))
 
     triple = (

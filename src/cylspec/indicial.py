@@ -82,11 +82,6 @@ class IndicialRoot:
         """Pole location in the closed upper half-plane."""
         return complex(self.tau, self.sigma)
 
-    @property
-    def decay(self):
-        """Complex decay exponent ``sigma + i tau`` of the series term."""
-        return complex(self.sigma, self.tau)
-
 
 def _values(params, mode, along, x):
     """``Theta_m(along * x)``, exactly real on both axes (``along`` 1j or 1)."""

@@ -163,7 +163,7 @@ def test_criterion_06_asymptotic_amplitude_law():
     h = _grid(lambda t: np.exp(-2.0 * np.abs(t)))
     w = solve_convolution(series, h)
     sigma0 = series.roots[0].sigma
-    c0 = series.coefficients[0][0]
+    c0 = series.coefficients[0]
     decay = 2.0
     amplitude = c0 * 2.0 * decay / (decay**2 - sigma0**2)
     t = w.t
@@ -305,10 +305,8 @@ def _shared_potential_flatness():
     comps = component_solutions(series, h)
     comps_t = component_solutions(series, ht)
     size = np.zeros_like(t)
-    for root, (c, cp), cj, ctj in zip(
-        series.roots, series.coefficients, comps, comps_t
-    ):
-        weight = abs(complex(c, cp)) / abs(complex(root.sigma, root.tau))
+    for root, c, cj, ctj in zip(series.roots, series.coefficients, comps, comps_t):
+        weight = abs(c) / abs(complex(root.sigma, root.tau))
         dt = np.gradient(ctj.samples, step)
         da = np.gradient(cj.samples, step)
         size += weight * (

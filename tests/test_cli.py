@@ -267,6 +267,21 @@ def test_wronskian_rejects_a_wide_source_before_solving(tmp_path, capsys, monkey
     assert doc["error"] == "WindowError" and "above 1.0e-10" in doc["message"]
 
 
+def test_solve_linear_rejects_a_wide_source(tmp_path, capsys):
+    # solve-linear, like the library, needs a source at 1e-10 of its peak
+    # at the window's ends; --tolerance does not loosen that.
+    wide = GridFunction.from_callable(lambda t: np.exp(-((t / 30.0) ** 2) * np.log(1e8)))
+    wide.to_csv(tmp_path / "wide.csv")
+    code, out = _run(
+        capsys,
+        ["solve-linear", "--n", "3", "--gamma", "0.5", "--kappa", "0.3",
+         "--source", str(tmp_path / "wide.csv"), "--tolerance", "1e-6"],
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["error"] == "WindowError" and "above 1.0e-10" in doc["message"]
+
+
 def test_frobenius_on_solved_profile(tmp_path, capsys):
     prof_path = tmp_path / "profile.csv"
     code, _ = _run(
@@ -332,6 +347,18 @@ def test_validation_exit_codes(capsys):
     assert code == 2
     assert "not found" in json.loads(out)["message"]
 
+    base = ["greens", "--n", "3", "--gamma", "0.5"]
+    for flags, message in (
+        (["--tolerance", "0"], "tolerance must be positive, got 0.0"),
+        (["--truncation", "0"], "truncation must be at least 1, got 0"),
+        (["--t-min", "5", "--t-max", "5"], "grid [5.0, 5.0] with step 0.0078125 is empty"),
+    ):
+        code, out = _run(capsys, base + flags)
+        assert code == 2
+        assert json.loads(out) == {
+            "command": "greens", "error": "ValidationError", "message": message
+        }
+
     with pytest.raises(SystemExit) as info:
         main(["symbol", "--n", "3"])
     assert info.value.code == 2
@@ -352,6 +379,35 @@ def test_grid_csv_matches_cli_body(tmp_path):
     text = cli._render(cli._resolve(args), cli.JobResult(grid=g))
     assert raw.decode().split("\n", 1)[1] == text.split("\n", 1)[1]
     assert raw.decode().split("\n", 2)[1] == "t,re,im"
+
+
+_ECHO_SHARED = {
+    "command", "format", "gamma", "kappa", "mode", "n", "p", "step", "t_max", "t_min",
+    "tolerance", "truncation",
+}
+_ECHO_OWN = {
+    "symbol": ([], {"xi"}),
+    "poles": ([], {"count"}),
+    "greens": ([], set()),
+    "solve-linear": (["--source", "h.csv"], {"source"}),
+    "solve-profile": ([], {"guess", "max_iterations"}),
+    "verify-bubble": ([], set()),
+    "pohozaev": ([], {"input"}),
+    "wronskian": (["--source", "h.csv", "--source-tilde", "h2.csv"], {"source", "source_tilde"}),
+    "frobenius": (["--input", "w.csv"], {"input", "use_roots", "window"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ECHO_OWN))
+def test_config_echo_keys(command):
+    # The artifact's config echo holds the shared flags, p resolved and each
+    # subcommand's own flags, and nothing else: no output path, no params.
+    flags, own = _ECHO_OWN[command]
+    args = cli._build_parser().parse_args([command, "--n", "3", "--gamma", "0.5", *flags])
+    doc = json.loads(cli._render(cli._resolve(args), cli.JobResult()))
+    config = doc["metadata"]["config"]
+    assert set(config) == _ECHO_SHARED | own
+    assert config["p"] == 2.0 and config["format"] == "json"
 
 
 def test_import_leaves_scipy_signal_unloaded():

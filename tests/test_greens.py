@@ -56,8 +56,8 @@ def test_series_structure():
     series = build_greens(P03, mode=0, truncation=12)
     assert series.regime == "stable"
     assert len(series.roots) == 13 and series.truncation == 12
-    c0, c0p = series.coefficients[0]
-    assert abs(c0 - 1.0133992076048632) < 1e-11 and c0p == 0.0
+    c0 = series.coefficients[0]
+    assert abs(c0 - 1.0133992076048632) < 1e-11
     assert series.sigma_next > series.roots[-1].sigma
     assert series.tail_bound_at(2.0) < series.tail_bound_at(1.0) < series.tail_bound
 
@@ -88,8 +88,8 @@ def test_unstable_series_reference():
     series = build_greens(P08, mode=0, truncation=40)
     assert series.regime == "unstable"
     assert series.roots[0].sigma == 0.0 and series.roots[0].tau > 0.0
-    c0, c0p = series.coefficients[0]
-    assert abs(c0 - C0_UNSTABLE) < 1e-11 and c0p == 0.0
+    c0 = series.coefficients[0]
+    assert abs(c0 - C0_UNSTABLE) < 1e-11
     for t, want in G_35_K08.items():
         assert abs(series(t) - want) < 1e-12
     # One-sided: the sine term is absent for t > 0.
@@ -360,7 +360,7 @@ def test_asymptotic_amplitude_law():
         lambda t: np.exp(-2.0 * np.abs(t)) + 0j, -30.0, 30.0, 2.0**-7
     )
     w = solve_convolution(series, h)
-    c0 = series.coefficients[0][0]
+    c0 = series.coefficients[0]
     s0 = series.roots[0].sigma
     want = c0 * 2 * 2.0 / (4.0 - s0**2)
     t = w.t
@@ -393,9 +393,9 @@ def test_convolution_decay_rules():
 def _full_moments(series):
     """``(q(0), q''(0), q''''(0))`` of ``q = 1/(Theta_m - kappa)``: dropped plus kept sums."""
     s1, s3, s5 = series.dropped_moments()
-    lams = series.decay_exponents
-    ratios = series.gamma_coefficients / lams
-    kept = [np.sum((ratios / lams ** (k - 1)).real) for k in (1, 3, 5)]
+    sigmas = series.decay_exponents
+    ratios = np.array(series.coefficients) / sigmas
+    kept = [np.sum(ratios / sigmas ** (k - 1)) for k in (1, 3, 5)]
     return 2.0 * (s1 + kept[0]), -4.0 * (s3 + kept[1]), 48.0 * (s5 + kept[2])
 
 

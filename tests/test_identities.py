@@ -136,10 +136,8 @@ def test_shared_potential_constancy():
     comps = component_solutions(series, h)
     comps_t = component_solutions(series, ht)
     size = np.zeros_like(t)
-    for root, (c, cp), cj, ctj in zip(
-        series.roots, series.coefficients, comps, comps_t
-    ):
-        weight = abs(complex(c, cp)) / abs(complex(root.sigma, root.tau))
+    for root, c, cj, ctj in zip(series.roots, series.coefficients, comps, comps_t):
+        weight = abs(c) / abs(complex(root.sigma, root.tau))
         dt = np.gradient(ctj.samples, step)
         da = np.gradient(cj.samples, step)
         size += weight * (
