@@ -235,13 +235,13 @@ def solve_convolution(greens, h):
     The source must decay to 1e-10 of its peak at the window's ends.
     """
     h.require_decay()
-    if np.max(np.abs(h.samples.imag)) != 0.0:
-        re = solve_convolution(greens, h.with_samples(h.samples.real + 0j))
-        im = solve_convolution(greens, h.with_samples(h.samples.imag + 0j))
+    if np.iscomplexobj(h.samples):
+        re = solve_convolution(greens, h.with_samples(h.samples.real))
+        im = solve_convolution(greens, h.with_samples(h.samples.imag))
         return h.with_samples(re.samples + 1j * im.samples)
     n = h.n_points
     kernel = greens((np.arange(2 * n - 1) - (n - 1)) * h.step)
-    full = fftconvolve(kernel, h.samples.real * trapezoid_weights(n))
+    full = fftconvolve(kernel, h.samples * trapezoid_weights(n))
     return h.with_samples(full[n - 1 : 2 * n - 1] * h.step)
 
 
@@ -303,8 +303,7 @@ def component_solutions(greens, h):
     1e-10 of its peak at the window's ends.
     """
     h.require_decay()
-    samples = h.samples if np.any(h.samples.imag) else h.samples.real
-    u = samples * (h.step * trapezoid_weights(h.n_points))
+    u = h.samples * (h.step * trapezoid_weights(h.n_points))
     roots = greens.roots
     sine = roots[0].sigma == 0.0  # the unstable regime's real pair comes first
     sigmas = np.array([r.sigma for r in roots[int(sine) :]])
@@ -317,19 +316,18 @@ def component_solutions(greens, h):
 
 
 def solve_ode_system(greens, h):
-    """Reassembled solution Re sum_j c_j w_j.
+    """Reassembled solution sum_j c_j w_j.
 
     The quadrature of :func:`solve_convolution`, reached by the per-root
     sweeps instead of one FFT, so the two agree to round-off; the
     components are what the Wronskian machinery consumes.
     """
-    if np.max(np.abs(h.samples.imag)) != 0.0:
-        re = solve_ode_system(greens, h.with_samples(h.samples.real + 0j))
-        im = solve_ode_system(greens, h.with_samples(h.samples.imag + 0j))
+    if np.iscomplexobj(h.samples):
+        re = solve_ode_system(greens, h.with_samples(h.samples.real))
+        im = solve_ode_system(greens, h.with_samples(h.samples.imag))
         return h.with_samples(re.samples + 1j * im.samples)
     comps = component_solutions(greens, h)
-    acc = sum(c * w.samples for c, w in zip(greens.coefficients, comps))
-    return h.with_samples(acc.real + 0j)
+    return h.with_samples(sum(c * w.samples for c, w in zip(greens.coefficients, comps)))
 
 
 def asymptotic_coefficients(roots, h):
@@ -357,9 +355,8 @@ def asymptotic_coefficients(roots, h):
             f"is e^(+{sigma_max:.3f} t); moments would diverge"
         )
     t = h.t
-    vals = h.samples if np.any(h.samples.imag) else h.samples.real
-    mag = np.abs(vals)
-    unit = vals / np.where(mag == 0.0, 1.0, mag)  # h/|h|, 0 where h is
+    mag = np.abs(h.samples)
+    unit = h.samples / np.where(mag == 0.0, 1.0, mag)  # h/|h|, 0 where h is
     with np.errstate(divide="ignore"):
         log_mag = np.log(mag)
     out = []
@@ -412,6 +409,4 @@ def apply_symbol(params, mode, w):
     """
     xi = angular_frequencies(w.n_points, w.step)
     out = multiply(theta(params, mode, xi), w.samples)
-    if np.max(np.abs(w.samples.imag)) == 0.0:
-        out = out.real + 0j  # real symbol, real input
-    return w.with_samples(out)
+    return w.with_samples(out if np.iscomplexobj(w.samples) else out.real)

@@ -4,14 +4,15 @@ Everything downstream works on functions sampled uniformly on
 ``[t_min, t_max]``.  The container is immutable, checks the lattice
 invariant ``(t_max - t_min)/step + 1 == len(samples)``, and knows how to
 verify the window-decay hypothesis that convolution and spectral
-routines rely on.  Serialization is CSV (columns ``t,re,im``, 17
-significant digits, bit-exact for binary64 values, LF line ends) and
-JSON with a metadata block.  The lattice's numerics live here too, one
-routine each: Fourier multiplier, FFT convolution, trapezoid rule and
-tail decay-rate fit.  The multiplier has two forms: :func:`multiply`,
-exact, for residuals and anything whose tails are read, and
-:func:`real_circulant`, the same operator at a fast length but with
-absolute round-off, for Krylov products only.
+routines rely on.  It decides real or complex once: samples are float64
+unless some imaginary part is nonzero.  Serialization is CSV (columns
+``t,re,im``, 17 significant digits, bit-exact for binary64 values, LF
+line ends) and JSON with a metadata block.  The lattice's numerics live
+here too, one routine each: Fourier multiplier, FFT convolution,
+trapezoid rule and tail decay-rate fit.  The multiplier has two forms:
+:func:`multiply`, exact, for residuals and anything whose tails are
+read, and :func:`real_circulant`, the same operator at a fast length but
+with absolute round-off, for Krylov products only.
 """
 
 from __future__ import annotations
@@ -153,6 +154,10 @@ def write_csv(fh, header, rows, metadata=None):
 
 @dataclass(frozen=True)
 class GridFunction:
+    """Read-only samples on ``t_min + step * k``: float64 when no imaginary
+    part is nonzero (complex input with every imaginary part +-0 too),
+    complex128 otherwise.  Real-only computations call :meth:`require_real`."""
+
     t_min: float
     t_max: float
     step: float
@@ -163,7 +168,9 @@ class GridFunction:
             raise ValidationError("grid bounds must be finite and step positive")
         if self.t_max <= self.t_min:
             raise ValidationError(f"empty window [{self.t_min}, {self.t_max}]")
-        arr = np.ascontiguousarray(self.samples, dtype=np.complex128)
+        arr = np.asarray(self.samples)
+        cplx = np.iscomplexobj(arr) and np.any(arr.imag)
+        arr = np.array(arr if cplx else arr.real, dtype=np.complex128 if cplx else np.float64)
         count = (self.t_max - self.t_min) / self.step + 1.0
         n = round(count)
         if abs(count - n) > 1e-9 or n != arr.size:
@@ -212,8 +219,8 @@ class GridFunction:
         peak = float(np.max(np.abs(self.samples)))
         if peak == 0.0:
             return 0.0
-        ends = max(abs(complex(self.samples[0])), abs(complex(self.samples[-1])))
-        return ends / peak
+        ends = max(abs(self.samples[0]), abs(self.samples[-1]))
+        return float(ends) / peak
 
     def require_decay(self, threshold=1e-10):
         margin = self.decay_margin()
@@ -221,6 +228,12 @@ class GridFunction:
             raise WindowError(
                 f"endpoint magnitude is {margin:.3e} of the peak, above {threshold:.1e}; "
                 "widen the window"
+            )
+
+    def require_real(self):
+        if np.iscomplexobj(self.samples):
+            raise ValidationError(
+                "samples have a nonzero imaginary part; this computation takes real data"
             )
 
     # -- arithmetic on a shared lattice ------------------------------------

@@ -33,10 +33,11 @@ _CONSISTENCY_TOL = 1e-6
 
 
 def _check_consistency(series, w, h, label):
+    h.require_real()
     comps = component_solutions(series, h)
     acc = sum(c * comp.samples for c, comp in zip(series.coefficients, comps))
     scale = max(float(np.max(np.abs(w.samples))), 1e-300)
-    if float(np.max(np.abs(acc.real - w.samples.real))) > _CONSISTENCY_TOL * scale:
+    if float(np.max(np.abs(acc - w.samples))) > _CONSISTENCY_TOL * scale:
         raise ValidationError(
             f"{label} does not match the series solution of its source term"
         )
@@ -54,9 +55,9 @@ def wronskian(
 
     Rebuilds the mode components of both profiles from their source
     terms, forms w_j * w~_j' - w_j' * w~_j with centered differences,
-    and sums with weights c_j / sigma_j, taking the real part at the
-    end.  The inputs w and w_tilde must be the series solutions of
-    h and h_tilde on the same grid.
+    and sums with weights c_j / sigma_j.  The inputs w and w_tilde must
+    be the series solutions of the real sources h and h_tilde on the
+    same grid.
     """
     w.require_same_grid(w_tilde)
     w.require_same_grid(h)
@@ -65,11 +66,17 @@ def wronskian(
     comps = _check_consistency(series, w, h, "w")
     comps_t = _check_consistency(series, w_tilde, h_tilde, "w_tilde")
     step = w.step
-    acc = np.zeros(w.n_points, dtype=np.complex128)
+    acc = np.zeros(w.n_points)
     for weight, cj, ctj in zip(weights, comps, comps_t):
         a, b = cj.samples, ctj.samples
         acc += weight * (a * np.gradient(b, step) - np.gradient(a, step) * b)
-    return w.with_samples(acc.real + 0j)
+    return w.with_samples(acc)
+
+
+def _defect(tr, w, w_tilde, h, h_tilde):
+    """Pointwise defect dW/dt + 2(h_tilde w - h w_tilde) of the Wronskian ``tr``."""
+    drive = 2.0 * (h_tilde.samples * w.samples - h.samples * w_tilde.samples)
+    return w.with_samples(np.gradient(tr.samples, w.step) + drive)
 
 
 def wronskian_defect(
@@ -80,12 +87,7 @@ def wronskian_defect(
     h_tilde: GridFunction,
 ) -> GridFunction:
     """Pointwise defect dW/dt + 2(h_tilde w - h w_tilde); O(step^2) small."""
-    tr = wronskian(series, w, w_tilde, h, h_tilde)
-    drive = 2.0 * (
-        h_tilde.samples.real * w.samples.real - h.samples.real * w_tilde.samples.real
-    )
-    defect = np.gradient(tr.samples.real, w.step) + drive
-    return w.with_samples(defect + 0j)
+    return _defect(wronskian(series, w, w_tilde, h, h_tilde), w, w_tilde, h, h_tilde)
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,8 @@ def pohozaev_check(
     """
     if not params.is_critical:
         raise ValidationError("the identity holds at the critical exponent only")
-    w = solution.samples.real
+    solution.require_real()
+    w = solution.samples
     if float(np.max(np.abs(w))) == 0.0:
         return PohozaevReport(0.0, 0.0, 0.0, 0.0)
     solution.require_decay(1e-6)
@@ -139,16 +142,16 @@ def pohozaev_check(
 
     p = params.p
     step = solution.step
-    h = solution.with_samples(np.sign(w) * np.abs(w) ** p + 0j)
+    h = solution.with_samples(np.sign(w) * np.abs(w) ** p)
     grad_sum = mass_sum = 0.0
     comps = component_solutions(series, h)
     for c, sigma, comp in zip(series.coefficients, series.decay_exponents, comps):
-        vals = comp.samples.real
+        vals = comp.samples
         dvals = np.gradient(vals, step)
         grad_sum += (c / sigma) * trapezoid(dvals * dvals, step)
         mass_sum += (c * sigma) * trapezoid(vals * vals, step)
 
-    hs = h.samples.real
+    hs = h.samples
     dh = np.gradient(hs, step)
     ddh = np.gradient(dh, step)
     norm_h = trapezoid(hs * hs, step)

@@ -132,11 +132,12 @@ def solve_profile(
         )
     if max_iterations < 1:
         raise ValidationError("max_iterations must be at least 1")
-    w = initial_guess.samples.real.copy()
+    initial_guess.require_real()
+    w = initial_guess.samples
     peak0 = float(np.max(np.abs(w)))
     if peak0 == 0.0:
         return SolveReport(
-            solution=initial_guess.with_samples(np.zeros_like(w) + 0j),
+            solution=initial_guess.with_samples(np.zeros_like(w)),
             residual_norm=0.0,
             iterations=0,
             converged=True,
@@ -222,7 +223,7 @@ def solve_profile(
 
     peak = float(np.max(np.abs(w)))
     return SolveReport(
-        solution=initial_guess.with_samples(w + 0j),
+        solution=initial_guess.with_samples(w),
         residual_norm=rnorm,
         iterations=len(history),
         converged=True,

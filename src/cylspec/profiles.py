@@ -114,7 +114,8 @@ def bubble_residual(params: CylinderParams, profile: GridFunction) -> float:
     the exponential tail correction and must decay to DECAY_MARGIN_MAX
     by the window edge.
     """
-    w = profile.samples.real
+    profile.require_real()
+    w = profile.samples
     peak = float(np.max(np.abs(w)))
     if peak == 0.0:
         return 0.0
@@ -209,7 +210,8 @@ def frobenius_fit(w: GridFunction, window=None, candidate_roots=None) -> Asympto
     leading term.  Raises NoFitError when its normalized RMS misfit
     exceeds FIT_RESIDUAL_MAX.
     """
-    vals = w.samples.real
+    w.require_real()
+    vals = w.samples
     tg = w.t
     if window is None:
         if not np.any(vals):

@@ -15,6 +15,7 @@ from cylspec import cli
 from cylspec.cli import main
 from cylspec.greens import build_greens, solve_convolution
 from cylspec.grid import GridFunction
+from cylspec.profiles import bubble, cylinder_constant
 from cylspec.symbol import CylinderParams
 
 
@@ -265,6 +266,57 @@ def test_wronskian_rejects_a_wide_source_before_solving(tmp_path, capsys, monkey
     assert code == 3
     doc = json.loads(out)
     assert doc["error"] == "WindowError" and "above 1.0e-10" in doc["message"]
+
+
+def test_wronskian_job_sweeps_each_source_once(tmp_path, capsys, monkeypatch):
+    # The job's defect reuses the Wronskian it reports: one component
+    # sweep per source, not a second pair inside wronskian_defect.
+    GridFunction.from_callable(lambda t: np.exp(-((t - 1.0) ** 2))).to_csv(tmp_path / "h.csv")
+    GridFunction.from_callable(lambda t: np.exp(-(t**2) / 2.0)).to_csv(tmp_path / "h2.csv")
+    calls = []
+    sweep = cylspec.identities.component_solutions
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr("cylspec.identities.component_solutions", counted)
+    code, _ = _run(
+        capsys,
+        ["wronskian", "--n", "3", "--gamma", "0.5", "--kappa", "0.3",
+         "--source", str(tmp_path / "h.csv"), "--source-tilde", str(tmp_path / "h2.csv"),
+         "--output", str(tmp_path / "w.json")],
+    )
+    assert code == 0
+    assert len(calls) == 2
+
+
+def test_real_only_jobs_reject_complex_files(tmp_path, capsys):
+    # Profiles and the Wronskian's sources are real; a file with a nonzero
+    # imaginary column is rejected instead of read as its real part.
+    # solve-linear solves a complex source.
+    params = CylinderParams(n=3, gamma=0.5)
+    profile = cylinder_constant(params) * GridFunction.from_callable(
+        lambda t: bubble(params, t)
+    )
+    (profile * (1.0 + 1e-3j)).to_csv(tmp_path / "c.csv")
+    path = str(tmp_path / "c.csv")
+    base = ["--n", "3", "--gamma", "0.5"]
+    for argv in (
+        ["frobenius", *base, "--input", path],
+        ["solve-profile", *base, "--guess", path],
+        ["pohozaev", *base, "--input", path],
+        ["wronskian", *base, "--kappa", "0.3", "--source", path, "--source-tilde", path],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 2, argv[0]
+        assert json.loads(out)["error"] == "ValidationError", argv[0]
+    code, _ = _run(
+        capsys,
+        ["solve-linear", *base, "--kappa", "0.3", "--source", path,
+         "--output", str(tmp_path / "w.csv"), "--format", "csv"],
+    )
+    assert code == 0
 
 
 def test_solve_linear_rejects_a_wide_source(tmp_path, capsys):

@@ -12,6 +12,13 @@ from cylspec.errors import (
     ValidationError,
     WindowError,
 )
+from cylspec.greens import (
+    apply_symbol,
+    build_greens,
+    component_solutions,
+    solve_convolution,
+    solve_ode_system,
+)
 from cylspec.grid import (
     GridFunction,
     angular_frequencies,
@@ -22,6 +29,9 @@ from cylspec.grid import (
     tail_rate,
     trapezoid,
 )
+from cylspec.identities import wronskian, wronskian_defect
+from cylspec.nonlinear import solve_profile
+from cylspec.profiles import bubble, cylinder_constant
 from cylspec.symbol import CylinderParams, theta
 
 
@@ -151,3 +161,77 @@ def test_tail_rate_oscillating_and_one_signed():
     positive = 1.0 / np.cosh(1.5 * t) ** 1.5
     sel, _ = tail_mask(positive)
     assert tail_rate(positive, t) == -np.polyfit(t[sel], np.log(positive[sel]), 1)[0]
+
+
+
+_DT = 2.0**-5
+_H = GridFunction.from_callable(lambda t: np.exp(-((t - 1.0) ** 2)), -30.0, 30.0, _DT)
+_H2 = GridFunction.from_callable(lambda t: np.exp(-((t + 2.0) ** 2) / 2.0), -30.0, 30.0, _DT)
+_TURNED = _H * (1.0 + 1e-3j)
+
+
+def _series(kappa):
+    return build_greens(CylinderParams(n=3, gamma=0.5, kappa=kappa), 0, 8)
+
+
+def _csv_round_trip(g, tmp_path):
+    g.to_csv(tmp_path / "g.csv")
+    return GridFunction.from_csv(tmp_path / "g.csv").samples
+
+
+def _json_round_trip(g, tmp_path):
+    g.to_json(tmp_path / "g.json")
+    return GridFunction.from_json(tmp_path / "g.json")[0].samples
+
+
+def _identity(fn):
+    series = _series(0.3)
+    w, w2 = solve_convolution(series, _H), solve_convolution(series, _H2)
+    return fn(series, w, w2, _H, _H2).samples
+
+
+def _profile():
+    params = CylinderParams(n=3, gamma=0.5)
+    guess = _H.with_samples(cylinder_constant(params) * bubble(params, _H.t))
+    return solve_profile(params, guess).solution.samples
+
+
+# id: (samples of one computation, given a scratch directory; expected dtype)
+_DTYPE_CASES = {
+    "from_callable": (lambda _: _H.samples, np.float64),
+    "csv_round_trip": (lambda p: _csv_round_trip(_H, p), np.float64),
+    "json_round_trip": (lambda p: _json_round_trip(_H, p), np.float64),
+    "with_samples_zero_imag": (lambda _: _H.with_samples(_H.samples - 0j).samples, np.float64),
+    "solve_convolution": (lambda _: solve_convolution(_series(0.3), _H).samples, np.float64),
+    "solve_ode_system": (lambda _: solve_ode_system(_series(0.3), _H).samples, np.float64),
+    "components_stable": (
+        lambda _: component_solutions(_series(0.3), _H)[0].samples, np.float64
+    ),
+    "components_unstable": (
+        lambda _: component_solutions(_series(0.8), _H)[0].samples, np.float64
+    ),
+    "apply_symbol": (
+        lambda _: apply_symbol(CylinderParams(n=3, gamma=0.5), 0, _H).samples, np.float64
+    ),
+    "wronskian": (lambda _: _identity(wronskian), np.float64),
+    "wronskian_defect": (lambda _: _identity(wronskian_defect), np.float64),
+    "solve_profile": (lambda _: _profile(), np.float64),
+    "complex_from_callable": (lambda _: _TURNED.samples, np.complex128),
+    "complex_csv_round_trip": (lambda p: _csv_round_trip(_TURNED, p), np.complex128),
+    "complex_json_round_trip": (lambda p: _json_round_trip(_TURNED, p), np.complex128),
+    "complex_solve_convolution": (
+        lambda _: solve_convolution(_series(0.3), _TURNED).samples, np.complex128
+    ),
+    "complex_components": (
+        lambda _: component_solutions(_series(0.3), _TURNED)[0].samples, np.complex128
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_DTYPE_CASES))
+def test_samples_are_real_unless_complex(case, tmp_path):
+    # The grid decides real or complex once: real data is float64 through
+    # every computation, and only a nonzero imaginary part makes samples
+    # complex128.
+    samples, dtype = _DTYPE_CASES[case]
+    assert samples(tmp_path).dtype == dtype
