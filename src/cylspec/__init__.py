@@ -27,13 +27,11 @@ from .errors import (
     WindowError,
 )
 from .greens import (
-    DecayRates,
     GreensSeries,
     apply_symbol,
     asymptotic_coefficients,
     build_greens,
     component_solutions,
-    convolution_decay,
     greens_quadrature_oracle,
     solve_convolution,
     solve_ode_system,
@@ -68,6 +66,7 @@ from .symbol import (
     stability_classify,
     theta,
     theta_derivative,
+    theta_lattice,
     theta_shifted,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "DEFAULT_STEP",
     "DEFAULT_T_MAX",
     "DecayHypothesisError",
-    "DecayRates",
     "DegenerateRootError",
     "DivergenceError",
     "DomainError",
@@ -110,7 +108,6 @@ __all__ = [
     "certified_count",
     "component_solutions",
     "constant_A",
-    "convolution_decay",
     "cylinder_constant",
     "find_lambda_prime",
     "find_roots",
@@ -129,6 +126,7 @@ __all__ = [
     "stability_classify",
     "theta",
     "theta_derivative",
+    "theta_lattice",
     "theta_shifted",
     "wronskian",
     "wronskian_defect",

@@ -172,6 +172,8 @@ def _job_wronskian(cfg):
     h = _load_grid(cfg.source)
     h_tilde = _load_grid(cfg.source_tilde)
     h.require_same_grid(h_tilde)
+    h.require_real()
+    h_tilde.require_real()
     series = build_greens(cfg.params, cfg.mode, truncation=cfg.truncation)
     w = solve_convolution(series, h)
     w_tilde = solve_convolution(series, h_tilde)

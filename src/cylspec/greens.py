@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +37,11 @@ from .errors import (
     QuadratureError,
     ValidationError,
 )
-from .grid import angular_frequencies, fftconvolve, multiply, tail_rate, trapezoid
+from .grid import fftconvolve, multiply, tail_rate, trapezoid
 from .grid import trapezoid_weights
 from .indicial import find_roots
 from .specfun import polygamma
-from .symbol import mode_constants, theta
+from .symbol import mode_constants, theta, theta_lattice
 
 __all__ = [
     "GreensSeries",
@@ -52,8 +51,6 @@ __all__ = [
     "solve_ode_system",
     "component_solutions",
     "asymptotic_coefficients",
-    "convolution_decay",
-    "DecayRates",
     "apply_symbol",
 ]
 
@@ -203,8 +200,9 @@ def greens_quadrature_oracle(params, mode, t, contour_shift=None):
         xi = left + nodes[None, :] * width
         zp = xi + 1j * s
         zm = -xi + 1j * s
-        vals = np.exp(1j * zp * t) / (theta(params, mode, zp) - kappa)
-        vals = vals + np.exp(1j * zm * t) / (theta(params, mode, zm) - kappa)
+        th = theta(params, mode, zp)  # theta(zm) == conj(th) bit for bit: zm = -conj(zp)
+        vals = np.exp(1j * zp * t) / (th - kappa)
+        vals = vals + np.exp(1j * zm * t) / (np.conj(th) - kappa)
         lobe_ints = (vals * weights[None, :]).sum(axis=1) * width
         partial = np.cumsum(lobe_ints)
         est, err = _euler_limit(partial[4:])
@@ -371,35 +369,6 @@ def asymptotic_coefficients(roots, h):
     return out
 
 
-class DecayRates(NamedTuple):
-    rate_plus: float
-    rate_minus: float
-    log_plus: bool
-    log_minus: bool
-
-
-def convolution_decay(a, a_plus, a_minus):
-    """Decay exponents of a convolution f1 * f2 from the factors' rates.
-
-    ``f1 = O(e^{-a|t|})`` two-sided, ``f2 = O(e^{-a_plus t})`` at +inf
-    and ``O(e^{+a_minus t})``-bounded at -inf; the product rate is
-    ``min{a, a_plus}`` (resp. ``min{a, a_minus}``), degraded by a factor
-    ``t`` exactly when the competing rates tie.
-    """
-    if a <= 0.0:
-        raise ValidationError(f"two-sided rate must be positive, got a={a}")
-    if a + a_plus <= 0.0 or a + a_minus <= 0.0:
-        raise DomainError(
-            f"need a + a_plus > 0 and a + a_minus > 0, got {a + a_plus}, {a + a_minus}"
-        )
-    return DecayRates(
-        rate_plus=min(a, a_plus),
-        rate_minus=min(a, a_minus),
-        log_plus=a == a_plus,
-        log_minus=a == a_minus,
-    )
-
-
 def apply_symbol(params, mode, w):
     """Apply the symbol as a Fourier multiplier on the (periodized) window.
 
@@ -407,6 +376,5 @@ def apply_symbol(params, mode, w):
     order of the function's endpoint magnitude, so inputs should satisfy
     the window-decay invariant.
     """
-    xi = angular_frequencies(w.n_points, w.step)
-    out = multiply(theta(params, mode, xi), w.samples)
+    out = multiply(theta_lattice(params, mode, w.n_points, w.step), w.samples)
     return w.with_samples(out if np.iscomplexobj(w.samples) else out.real)

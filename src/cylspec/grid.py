@@ -12,7 +12,8 @@ here too, one routine each: Fourier multiplier, FFT convolution,
 trapezoid rule and tail decay-rate fit.  The multiplier has two forms:
 :func:`multiply`, exact, for residuals and anything whose tails are
 read, and :func:`real_circulant`, the same operator at a fast length but
-with absolute round-off, for Krylov products only.
+with absolute round-off, for Krylov products only.  The symbol's values
+on a lattice come from :func:`~cylspec.symbol.theta_lattice`.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ def angular_frequencies(n, step):
 def multiply(values, v):
     """Fourier multiplier ``ifft(fft(v) * values)`` on the periodized lattice.
 
-    ``values`` holds the symbol at :func:`angular_frequencies`; the
-    result is complex, and callers with real data take its real part.
+    ``values`` holds the symbol at :func:`angular_frequencies`, as
+    :func:`~cylspec.symbol.theta_lattice` returns it; the result is
+    complex, and callers with real data take its real part.
     This is the exact product that residuals use.
     """
     return np.fft.ifft(np.fft.fft(v) * values)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, NegativityError, ValidationError
-from .grid import GridFunction, angular_frequencies, multiply, real_circulant
-from .symbol import CylinderParams, theta
+from .grid import GridFunction, multiply, real_circulant
+from .symbol import CylinderParams, theta_lattice
 
 __all__ = ["NewtonStep", "SolveReport", "solve_profile"]
 
@@ -156,8 +156,7 @@ def solve_profile(
 
     p = params.p
     n = w.size
-    xi = angular_frequencies(n, initial_guess.step)
-    sym_vals = theta(params, 0, xi).real - params.kappa
+    sym_vals = theta_lattice(params, 0, n, initial_guess.step) - params.kappa
     inverse = real_circulant(1.0 / sym_vals)
     gmres_atol = GMRES_FLOOR * tolerance
 

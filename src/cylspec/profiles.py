@@ -20,12 +20,11 @@ from .grid import (
     TAIL_CEILING,
     TAIL_FLOOR,
     GridFunction,
-    angular_frequencies,
     multiply,
     tail_mask,
 )
 from .specfun import hyp2f1, log_gamma
-from .symbol import CylinderParams, theta
+from .symbol import CylinderParams, theta_lattice
 
 __all__ = [
     "AsymptoticFit",
@@ -101,7 +100,7 @@ def _tail_padded_multiplier(params, samples, step, rate):
     right = samples[-1] * np.exp(-rate * t_pad)
     left = (samples[0] * np.exp(-rate * t_pad))[::-1]
     ext = np.concatenate([left, samples, right])
-    sym = theta(params, 0, angular_frequencies(ext.size, step))
+    sym = theta_lattice(params, 0, ext.size, step)
     return multiply(sym, ext).real[n : 2 * n]
 
 
@@ -121,7 +120,7 @@ def bubble_residual(params: CylinderParams, profile: GridFunction) -> float:
         return 0.0
     spread = float(np.max(w) - np.min(w))
     if spread <= _CONSTANT_SPREAD * peak:
-        sym = theta(params, 0, angular_frequencies(w.size, profile.step))
+        sym = theta_lattice(params, 0, w.size, profile.step)
         applied = multiply(sym, w).real
     else:
         profile.require_decay(DECAY_MARGIN_MAX)

@@ -12,6 +12,14 @@ this module is elementary Gamma-ratio algebra: the Hardy constant, the
 mode constants, the plain and subcritically shifted symbols, the
 stability classification of the Hardy term, and the closed-form
 convolution kernel of the shifted operator.
+
+Two symmetries halve the work on real frequencies.  There ``w = i xi/2``
+is imaginary, so ``lg(A - w) = conj(lg(A + w))`` (DLMF §5.4, from
+``Gamma(conj s) = conj Gamma(s)``; ``scipy.special.loggamma`` keeps it
+bit for bit), and each conjugate pair of log-Gammas is twice the real
+part of one.  And ``Theta_m`` is even, so :func:`theta_lattice`
+evaluates a lattice's symbol on its non-negative frequencies only and
+mirrors them.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PoleError, ThresholdError, ValidationError
+from .grid import angular_frequencies
 from .specfun import digamma, hyp2f1, log_gamma, near_pole
 
 __all__ = [
@@ -31,6 +40,7 @@ __all__ = [
     "hardy_constant",
     "mode_constants",
     "theta",
+    "theta_lattice",
     "theta_shifted",
     "theta_derivative",
     "constant_A",
@@ -206,7 +216,9 @@ def _log_ratio(a, b, w, offset, slope):
     else ``None``.  Entries far along the real direction of ``z`` take
     the expansion of :func:`_far_log_ratio`; this is the one place that
     chooses.  Summing in ``+-w`` pairs keeps the direct value exactly
-    even in ``w``.
+    even in ``w``.  When every ``w`` is imaginary (real ``z``, no shift)
+    each pair is ``2 Re lg``, bit for bit the same sum from two
+    log-Gammas instead of four.
     """
     far = _far(a, w)
     if far.any():
@@ -217,7 +229,11 @@ def _log_ratio(a, b, w, offset, slope):
         if slope:
             deriv[far], deriv[~far] = d_far, d_near
         return value, deriv
-    value = offset + (log_gamma(a + w) + log_gamma(a - w)) - (log_gamma(b + w) + log_gamma(b - w))
+    if np.any(w.real):
+        num, den = log_gamma(a + w) + log_gamma(a - w), log_gamma(b + w) + log_gamma(b - w)
+    else:  # complex, as exp of a real array differs from the complex exp by an ulp
+        num, den = 2.0 * log_gamma(a + w).real + 0j, 2.0 * log_gamma(b + w).real + 0j
+    value = offset + num - den
     deriv = digamma(a + w) - digamma(a - w) - digamma(b + w) + digamma(b - w) if slope else None
     return value, deriv
 
@@ -263,6 +279,17 @@ def theta(params, mode, z):
     """
     out = _theta_arr(params, mode, z, 0.0)
     return complex(out) if np.ndim(z) == 0 else out
+
+
+def theta_lattice(params, mode, n, step):
+    """``Theta_m`` on the ``n``-point lattice of spacing ``step``, in FFT order.
+
+    The float64 values of ``theta(params, mode, angular_frequencies(n,
+    step)).real``, bit for bit, from the ``n//2 + 1`` non-negative
+    frequencies mirrored onto the negative ones.
+    """
+    half = theta(params, mode, np.abs(angular_frequencies(n, step)[: n // 2 + 1])).real
+    return np.concatenate([half, half[(n - 1) // 2 : 0 : -1]])
 
 
 def theta_shifted(params, mode, z):

@@ -19,15 +19,24 @@ from cylspec.grid import GridFunction
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def test_tracer_installs_counts_and_restores(monkeypatch):
+def _load_tracer(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    originals = {
+    return tracer
+
+
+def _originals(tracer):
+    return {
         (mod, attr): getattr(importlib.import_module(mod), attr)
         for mod, attr, _ in tracer.TRACED_FUNCTIONS
     }
+
+
+def test_tracer_installs_counts_and_restores(monkeypatch):
+    tracer = _load_tracer(monkeypatch)
+    originals = _originals(tracer)
     fft, to_csv = np.fft.fft, GridFunction.__dict__["to_csv"]
 
     traced = tracer.Tracer()
@@ -44,3 +53,26 @@ def test_tracer_installs_counts_and_restores(monkeypatch):
         assert getattr(importlib.import_module(mod), attr) is fn, f"{mod}.{attr}"
     assert cylspec.find_roots is originals[("cylspec.indicial", "find_roots")]
     assert np.fft.fft is fft and GridFunction.__dict__["to_csv"] is to_csv
+
+
+def test_lattice_symbol_work_is_traced_at_half_the_lattice(monkeypatch):
+    # The profile solve's lattice symbol goes through specfun.log_gamma, so
+    # the trace counts it, and costs two log-Gammas per non-negative
+    # frequency: 2 * 3841 on the 7681-point lattice, plus the two scalar
+    # points of the Hardy constant.
+    tracer = _load_tracer(monkeypatch)
+    originals = _originals(tracer)
+    params = CylinderParams(n=3, gamma=0.5, kappa=0.3)
+    guess = GridFunction.from_callable(lambda t: 0.5 / np.cosh(t))
+    assert guess.n_points == 7681
+
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        assert cylspec.solve_profile(params, guess).converged
+    finally:
+        traced.uninstall()
+
+    assert 2 * 3841 <= traced.counts["specfun.log_gamma.points"] <= 2 * 3841 + 4
+    for (mod, attr), fn in originals.items():
+        assert getattr(importlib.import_module(mod), attr) is fn, f"{mod}.{attr}"

@@ -291,6 +291,21 @@ def test_wronskian_job_sweeps_each_source_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def test_wronskian_rejects_a_complex_source_before_solving(tmp_path, capsys, monkeypatch):
+    GridFunction.from_callable(lambda t: np.exp(-(t**2)) * (1.0 + 1e-3j)).to_csv(tmp_path / "c.csv")
+    GridFunction.from_callable(lambda t: np.exp(-(t**2))).to_csv(tmp_path / "h.csv")
+    calls = []
+    monkeypatch.setattr("cylspec.cli.solve_convolution", lambda *args: calls.append(args))
+    for source, tilde in (("c.csv", "h.csv"), ("h.csv", "c.csv")):
+        code, out = _run(
+            capsys,
+            ["wronskian", "--n", "3", "--gamma", "0.5", "--kappa", "0.3",
+             "--source", str(tmp_path / source), "--source-tilde", str(tmp_path / tilde)],
+        )
+        assert code == 2 and json.loads(out)["error"] == "ValidationError"
+    assert calls == []
+
+
 def test_real_only_jobs_reject_complex_files(tmp_path, capsys):
     # Profiles and the Wronskian's sources are real; a file with a nonzero
     # imaginary column is rejected instead of read as its real part.

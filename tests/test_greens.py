@@ -18,12 +18,12 @@ from cylspec.greens import (
     asymptotic_coefficients,
     build_greens,
     component_solutions,
-    convolution_decay,
     greens_quadrature_oracle,
     solve_convolution,
     solve_ode_system,
 )
 from cylspec.grid import GridFunction, trapezoid, trapezoid_weights
+from cylspec.indicial import find_roots
 from cylspec.symbol import CylinderParams, mode_constants, theta
 
 # Frozen 30-digit oscillatory-quadrature values of the inverse Fourier
@@ -123,6 +123,23 @@ def test_quadrature_oracle_guards():
         greens_quadrature_oracle(P08, 0, 1.0)  # unstable regime
     with pytest.raises(ValidationError):
         greens_quadrature_oracle(P03, 0, 1.0, contour_shift=5.0)
+
+
+@pytest.mark.parametrize(
+    "params, mode",
+    [(P03, 0), (P03, 4), (CylinderParams(n=2, gamma=0.95, kappa=0.001), 1),
+     (CylinderParams(n=4, gamma=0.05, kappa=0.1), 0)],
+)
+def test_oracle_contour_pairs_are_conjugate(params, mode):
+    # The oracle evaluates theta on z_+ = xi + i s only and takes
+    # conj(theta(z_+)) for z_- = -xi + i s = -conj(z_+): exactly equal.
+    sigma0 = find_roots(params, mode, count=1)[0].sigma
+    xi = np.linspace(0.0, 60.0, 2001)
+    for s in (0.0, 0.5 * sigma0, -0.5 * sigma0):
+        zp = xi + 1j * s
+        zm = -xi + 1j * s
+        assert np.array_equal(zm, -np.conj(zp))
+        assert np.array_equal(theta(params, mode, zm), np.conj(theta(params, mode, zp)))
 
 
 def test_contour_shift_agrees_with_real_axis():
@@ -376,18 +393,6 @@ def test_decay_hypothesis_guard():
     )
     with pytest.raises(DecayHypothesisError):
         asymptotic_coefficients(series.roots, slow)
-
-
-def test_convolution_decay_rules():
-    assert convolution_decay(2, 1, 3)[:2] == (1, 2)
-    r = convolution_decay(1, 1, 2)
-    assert r.rate_plus == 1 and r.log_plus and r.rate_minus == 1 and not r.log_minus
-    big = convolution_decay(1.5, 80.0, 120.0)
-    assert big.rate_plus == 1.5 and big.rate_minus == 1.5
-    with pytest.raises(DomainError):
-        convolution_decay(1.0, -1.5, 2.0)
-    with pytest.raises(ValidationError):
-        convolution_decay(0.0, 1.0, 1.0)
 
 
 def _full_moments(series):

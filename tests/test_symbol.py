@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import loggamma
 
 from cylspec.errors import CylspecError, PoleError, ThresholdError, ValidationError
+from cylspec.grid import angular_frequencies
 from cylspec.symbol import (
     CylinderParams,
     ModeIndex,
@@ -20,6 +22,7 @@ from cylspec.symbol import (
     stability_classify,
     theta,
     theta_derivative,
+    theta_lattice,
     theta_shifted,
 )
 
@@ -105,6 +108,40 @@ def test_symbol_symmetries_are_exact(n, gamma, mode, re, im):
         return
     assert complex(theta(params, mode, -z)) == v
     assert complex(theta(params, mode, z.conjugate())) == v.conjugate()
+
+
+@pytest.mark.parametrize("n, gamma", [(2, 0.05), (2, 0.95), (3, 0.05), (3, 0.95)])
+@pytest.mark.parametrize("mode", [0, 1, 4])
+def test_real_axis_symbol_is_the_four_log_gamma_sum(n, gamma, mode):
+    # On real z the symbol adds two real parts instead of four complex
+    # log-Gammas; the value is the full conjugate-pair sum's, bit for bit.
+    params = CylinderParams(n=n, gamma=gamma)
+    a, b = mode_constants(params, mode)
+    z = angular_frequencies(7681, 2.0**-7).astype(np.complex128)
+    w = 0.5 * (0.0 + 1j * z)
+    log_ratio = (
+        2.0 * gamma * math.log(2.0)
+        + (loggamma(a + w) + loggamma(a - w))
+        - (loggamma(b + w) + loggamma(b - w))
+    )
+    assert np.array_equal(theta(params, mode, z), np.exp(log_ratio))
+
+
+@pytest.mark.parametrize(
+    "n_points, step", [(7681, 2.0**-7), (7680, 2.0**-7), (2, 0.1), (3, 0.1), (64, 1e-4)]
+)
+@pytest.mark.parametrize("n, gamma", [(2, 0.05), (2, 0.95), (3, 0.05), (3, 0.95)])
+@pytest.mark.parametrize("mode", [0, 1, 4])
+def test_lattice_symbol_is_theta_on_the_lattice(n_points, step, n, gamma, mode):
+    # Half the lattice mirrored is theta on all of it, bit for bit, for odd
+    # and even lengths; at step 1e-4 the top frequencies, past pi/step = 1e4
+    # in |z|, take the far expansion.
+    params = CylinderParams(n=n, gamma=gamma)
+    full = theta(params, mode, angular_frequencies(n_points, step))
+    lattice = theta_lattice(params, mode, n_points, step)
+    assert lattice.dtype == np.float64 and lattice.shape == (n_points,)
+    assert np.array_equal(full.imag, np.zeros(n_points))
+    assert np.array_equal(lattice, full.real)
 
 
 def test_symbol_axis_zeros_and_poles():
