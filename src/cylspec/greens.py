@@ -376,5 +376,4 @@ def apply_symbol(params, mode, w):
     order of the function's endpoint magnitude, so inputs should satisfy
     the window-decay invariant.
     """
-    out = multiply(theta_lattice(params, mode, w.n_points, w.step), w.samples)
-    return w.with_samples(out if np.iscomplexobj(w.samples) else out.real)
+    return w.with_samples(multiply(theta_lattice(params, mode, w.n_points, w.step), w.samples))

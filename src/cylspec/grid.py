@@ -9,11 +9,11 @@ unless some imaginary part is nonzero.  Serialization is CSV (columns
 ``t,re,im``, 17 significant digits, bit-exact for binary64 values, LF
 line ends) and JSON with a metadata block.  The lattice's numerics live
 here too, one routine each: Fourier multiplier, FFT convolution,
-trapezoid rule and tail decay-rate fit.  The multiplier has two forms:
-:func:`multiply`, exact, for residuals and anything whose tails are
-read, and :func:`real_circulant`, the same operator at a fast length but
-with absolute round-off, for Krylov products only.  The symbol's values
-on a lattice come from :func:`~cylspec.symbol.theta_lattice`.
+trapezoid rule and tail decay-rate fit.  The multiplier runs ``scipy.fft``'s
+real transforms on the half spectrum of :func:`~cylspec.symbol.theta_lattice`,
+in two forms: :func:`multiply`, exact, for residuals and anything whose
+tails are read, and :func:`real_circulant`, the same operator at a fast
+length but with absolute round-off, for Krylov products only.
 """
 
 from __future__ import annotations
@@ -41,41 +41,40 @@ def angular_frequencies(n, step):
     return 2.0 * math.pi * np.fft.fftfreq(n, d=step)
 
 
-def multiply(values, v):
-    """Fourier multiplier ``ifft(fft(v) * values)`` on the periodized lattice.
+def multiply(half, v):
+    """Fourier multiplier ``irfft(rfft(v) * half)`` on the periodized lattice.
 
-    ``values`` holds the symbol at :func:`angular_frequencies`, as
-    :func:`~cylspec.symbol.theta_lattice` returns it; the result is
-    complex, and callers with real data take its real part.
-    This is the exact product that residuals use.
+    ``half`` holds a real, even symbol on the non-negative frequencies of
+    :func:`angular_frequencies`, as :func:`~cylspec.symbol.theta_lattice`
+    returns it: a real circulant, so real ``v`` gives a real result and
+    complex ``v`` the products of its two parts.  Residuals use it.
     """
-    return np.fft.ifft(np.fft.fft(v) * values)
+    from scipy import fft  # at first use, not at `import cylspec`
+
+    if np.iscomplexobj(v):
+        return multiply(half, v.real) + 1j * multiply(half, v.imag)
+    return fft.irfft(fft.rfft(v) * half, v.size)
 
 
-def real_circulant(values):
-    """The map ``v -> multiply(values, v).real`` for real ``v``, at a fast length.
+def real_circulant(half, n):
+    """The map ``v -> multiply(half, v)`` for real ``v`` of length ``n``, at a fast length.
 
-    The same circulant on the same lattice: its kernel ``ifft(values).real``
-    (one transform of the lattice's length) is laid out on the lags
-    ``-(n-1) .. n-1`` and its ``rfft`` cached at
+    The same circulant on the same lattice: its kernel ``irfft(half, n)``
+    is laid out on the lags ``-(n-1) .. n-1`` and its ``rfft`` cached at
     ``next_fast_len(2n - 1, real=True)``, so each apply is one ``rfft``
     and one ``irfft`` at a 5-smooth length even when ``n`` is prime.
-    Its round-off comes from the kernel, about ``eps * max|values|`` at
+    Its round-off comes from the kernel, about ``eps * max|half|`` at
     every lag, and reaches the low frequencies; in a residual it shows
     as noise in a decaying tail, so it is for Krylov products only.
     """
-    from scipy.fft import next_fast_len  # at first use, not at `import cylspec`
+    from scipy import fft
 
-    n = values.size
-    m = next_fast_len(2 * n - 1, real=True)
-    kernel = np.fft.ifft(values).real
-    lags = np.zeros(m)
-    lags[:n] = kernel
-    lags[m - n + 1 :] = kernel[1:]  # lag -k sits at m - k
-    spectrum = np.fft.rfft(lags)
+    m = fft.next_fast_len(2 * n - 1, real=True)
+    kernel = fft.irfft(half, n)  # lag k sits at k, lag -k at m - k
+    spectrum = fft.rfft(np.concatenate([kernel, np.zeros(m - 2 * n + 1), kernel[1:]]))
 
     def apply(v):
-        return np.fft.irfft(np.fft.rfft(v, m) * spectrum, m)[:n]
+        return fft.irfft(fft.rfft(v, m) * spectrum, m)[:n]
 
     return apply
 

@@ -157,11 +157,11 @@ def solve_profile(
     p = params.p
     n = w.size
     sym_vals = theta_lattice(params, 0, n, initial_guess.step) - params.kappa
-    inverse = real_circulant(1.0 / sym_vals)
+    inverse = real_circulant(1.0 / sym_vals, n)
     gmres_atol = GMRES_FLOOR * tolerance
 
     def residual(v):
-        return multiply(sym_vals, v).real - _odd_power(v, p)
+        return multiply(sym_vals, v) - _odd_power(v, p)
 
     r = residual(w)
     rnorm = float(np.max(np.abs(r)))

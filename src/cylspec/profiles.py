@@ -93,15 +93,17 @@ def _tail_padded_multiplier(params, samples, step, rate):
 
     Periodizing a window chops the profile's tails; appending the known
     exponential continuation before the transform pushes the seam error
-    below the tail tolerance instead.
+    below the tail tolerance instead.  It has no fixed length, so both
+    sides are padded evenly to the 5-smooth ``next_fast_len(3n, real=True)``.
     """
+    from scipy.fft import next_fast_len
+
     n = samples.size
-    t_pad = step * np.arange(1, n + 1)
-    right = samples[-1] * np.exp(-rate * t_pad)
-    left = (samples[0] * np.exp(-rate * t_pad))[::-1]
-    ext = np.concatenate([left, samples, right])
-    sym = theta_lattice(params, 0, ext.size, step)
-    return multiply(sym, ext).real[n : 2 * n]
+    m = next_fast_len(3 * n, real=True)
+    k = (m - n) // 2  # the left pad; the right one is k or k + 1
+    decay = np.exp(-rate * step * np.arange(1, m - n - k + 1))
+    ext = np.concatenate([samples[0] * decay[:k][::-1], samples, samples[-1] * decay])
+    return multiply(theta_lattice(params, 0, m, step), ext)[k : k + n]
 
 
 def bubble_residual(params: CylinderParams, profile: GridFunction) -> float:
@@ -120,8 +122,7 @@ def bubble_residual(params: CylinderParams, profile: GridFunction) -> float:
         return 0.0
     spread = float(np.max(w) - np.min(w))
     if spread <= _CONSTANT_SPREAD * peak:
-        sym = theta_lattice(params, 0, w.size, profile.step)
-        applied = multiply(sym, w).real
+        applied = multiply(theta_lattice(params, 0, w.size, profile.step), w)
     else:
         profile.require_decay(DECAY_MARGIN_MAX)
         rate = 0.5 * (params.n - 2.0 * params.gamma)

@@ -17,9 +17,9 @@ Two symmetries halve the work on real frequencies.  There ``w = i xi/2``
 is imaginary, so ``lg(A - w) = conj(lg(A + w))`` (DLMF §5.4, from
 ``Gamma(conj s) = conj Gamma(s)``; ``scipy.special.loggamma`` keeps it
 bit for bit), and each conjugate pair of log-Gammas is twice the real
-part of one.  And ``Theta_m`` is even, so :func:`theta_lattice`
-evaluates a lattice's symbol on its non-negative frequencies only and
-mirrors them.
+part of one.  And ``Theta_m`` is even, so :func:`theta_lattice` returns
+a lattice's symbol as the half spectrum :func:`~cylspec.grid.multiply`
+takes, the real values on the non-negative frequencies.
 """
 
 from __future__ import annotations
@@ -282,14 +282,13 @@ def theta(params, mode, z):
 
 
 def theta_lattice(params, mode, n, step):
-    """``Theta_m`` on the ``n``-point lattice of spacing ``step``, in FFT order.
+    """``Theta_m`` on the ``n``-point lattice of spacing ``step``, as a half spectrum.
 
     The float64 values of ``theta(params, mode, angular_frequencies(n,
-    step)).real``, bit for bit, from the ``n//2 + 1`` non-negative
-    frequencies mirrored onto the negative ones.
+    step)).real`` on the ``n//2 + 1`` non-negative frequencies, bit for
+    bit; the negative ones hold the same values, as ``Theta_m`` is even.
     """
-    half = theta(params, mode, np.abs(angular_frequencies(n, step)[: n // 2 + 1])).real
-    return np.concatenate([half, half[(n - 1) // 2 : 0 : -1]])
+    return theta(params, mode, np.abs(angular_frequencies(n, step)[: n // 2 + 1])).real
 
 
 def theta_shifted(params, mode, z):
@@ -399,15 +398,17 @@ def solve_p1(n, gamma):
 
 
 def kernel_K0(params, t):
-    """Radial convolution kernel of the inverse shifted operator.
+    """Radial convolution kernel of the shifted operator itself, not of its inverse.
 
-    Closed form (overall constant normalized to 1):
+    ``theta_shifted(xi) - theta_shifted(0) = C |S^(n-1)| int_R (1 - exp(-i xi t)) K0(t) dt``,
+    with the fractional Laplacian's ``C = 4^g Gamma(n/2 + g) / (pi^(n/2) |Gamma(-g)|)``
+    and the unit sphere's area ``|S^(n-1)|`` (``C |S^2| = 4/pi`` at n = 3, g = 1/2).
 
-        K0(t) = exp(-q0 t) exp(-(n+2g)|t|/2)
-                * 2F1((n+2g)/2, 1+g; n/2; exp(-2|t|)).
+        K0(t) = exp(-q0 t) exp(-(n+2g)|t|/2) * 2F1((n+2g)/2, 1+g; n/2; exp(-2|t|))
 
-    Behaves like ``|t|^(-1-2g)`` at the origin and decays exponentially
-    with rates ``(n+2g)/2 +- q0`` at ``t -> +-inf``.
+    is, at the critical exponent, the spherical average of the fractional Laplacian's
+    kernel ``(2 cosh t - 2 s)^(-(n+2g)/2)``.  It behaves like ``|t|^(-1-2g)`` at the
+    origin and decays with rates ``(n+2g)/2 +- q0`` at ``t -> +-inf``.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr == 0.0):

@@ -32,7 +32,7 @@ from cylspec.grid import (
 from cylspec.identities import wronskian, wronskian_defect
 from cylspec.nonlinear import solve_profile
 from cylspec.profiles import bubble, cylinder_constant
-from cylspec.symbol import CylinderParams, theta
+from cylspec.symbol import CylinderParams, theta_lattice
 
 
 def _gaussian(t_max=10.0, step=0.125):
@@ -116,15 +116,43 @@ def test_fftconvolve_matches_scipy_signal_bit_for_bit(n):
     assert np.array_equal(fftconvolve(a, b), scipy_fftconvolve(a, b))
 
 
+def _mirrored(half, n):
+    """A half spectrum laid out on the whole lattice in FFT order."""
+    return np.concatenate([half, half[(n - 1) // 2 : 0 : -1]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 481, 7680, 7681, 15361])
+def test_multiply_matches_complex_transform(n):
+    # The real product of a half spectrum is the complex product of the
+    # mirrored symbol, up to a transform's round-off.
+    rng = np.random.default_rng(n)
+    half = theta_lattice(CylinderParams(n=4, gamma=0.75), 0, n, 2.0**-7)
+    v = rng.standard_normal(n)
+    got = multiply(half, v)
+    want = np.fft.ifft(np.fft.fft(v) * _mirrored(half, n))
+    assert got.dtype == np.float64 and got.shape == (n,)
+    scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(v))
+    assert np.max(np.abs(got - want)) <= 8.0 * scale
+
+
+@pytest.mark.parametrize("n", [7, 7681])
+def test_multiply_complex_data_is_two_real_products(n):
+    rng = np.random.default_rng(n)
+    half = theta_lattice(CylinderParams(n=3, gamma=0.5), 1, n, 2.0**-7)
+    re, im = rng.standard_normal(n), rng.standard_normal(n)
+    got = multiply(half, re + 1j * im)
+    assert np.array_equal(got, multiply(half, re) + 1j * multiply(half, im))
+
+
 @pytest.mark.parametrize("n", [7, 481, 7680, 7681])
 def test_real_circulant_matches_multiply(n):
     rng = np.random.default_rng(n)
-    symbol = theta(CylinderParams(n=4, gamma=0.75), 0, angular_frequencies(n, 2.0**-7))
+    symbol = theta_lattice(CylinderParams(n=4, gamma=0.75), 0, n, 2.0**-7)
     v = rng.standard_normal(n)
-    for values in (symbol.real, rng.standard_normal(n)):
-        fast = real_circulant(values)(v)
-        exact = multiply(values, v).real
-        scale = np.finfo(float).eps * np.max(np.abs(values)) * np.max(np.abs(v))
+    for half in (symbol, rng.standard_normal(n // 2 + 1)):
+        fast = real_circulant(half, n)(v)
+        exact = multiply(half, v)
+        scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(v))
         assert np.max(np.abs(fast - exact)) <= 8.0 * scale
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from cylspec.errors import DomainError, NoFitError, ValidationError, WindowError
 from cylspec.greens import build_greens, solve_convolution
-from cylspec.grid import GridFunction
+from cylspec import profiles
+from cylspec.grid import GridFunction, multiply
 from cylspec.indicial import IndicialRoot, find_roots
 from cylspec.profiles import (
     AsymptoticFit,
@@ -67,6 +68,30 @@ def test_bubble_solves_critical_equation():
     for n, g in [(3, 0.5), (4, 0.75)]:
         params = CylinderParams(n=n, gamma=g)
         assert bubble_residual(params, _bubble_grid(params, 30.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("step", [2.0**-7, 2.0**-8])
+@pytest.mark.parametrize("n, g", [(3, 0.5), (4, 0.75), (5, 0.25), (2, 0.3)])
+def test_bubble_residual_pads_to_a_fast_length(monkeypatch, n, g, step):
+    # The tail-padded product runs at a 5-smooth length of at least 3n
+    # points, on 7681 and 15361 points alike, and the bubble solves the
+    # equation to round-off there.
+    sizes = []
+
+    def spy(half, v):
+        sizes.append(v.size)
+        return multiply(half, v)
+
+    monkeypatch.setattr(profiles, "multiply", spy)
+    params = CylinderParams(n=n, gamma=g)
+    grid = _bubble_grid(params, 30.0, step)
+    assert bubble_residual(params, grid) <= 1e-11
+    (m,) = sizes
+    assert m >= 3 * grid.n_points
+    for factor in (2, 3, 5):
+        while m % factor == 0:
+            m //= factor
+    assert m == 1
 
 
 def test_tail_correction_carries_narrow_window():

@@ -133,15 +133,18 @@ def test_real_axis_symbol_is_the_four_log_gamma_sum(n, gamma, mode):
 @pytest.mark.parametrize("n, gamma", [(2, 0.05), (2, 0.95), (3, 0.05), (3, 0.95)])
 @pytest.mark.parametrize("mode", [0, 1, 4])
 def test_lattice_symbol_is_theta_on_the_lattice(n_points, step, n, gamma, mode):
-    # Half the lattice mirrored is theta on all of it, bit for bit, for odd
-    # and even lengths; at step 1e-4 the top frequencies, past pi/step = 1e4
-    # in |z|, take the far expansion.
+    # The half spectrum is theta on the non-negative frequencies, bit for
+    # bit, for odd and even lengths, and theta on the whole lattice is real
+    # and even, so the half spectrum holds all of it; at step 1e-4 the top
+    # frequencies, past pi/step = 1e4 in |z|, take the far expansion.
     params = CylinderParams(n=n, gamma=gamma)
     full = theta(params, mode, angular_frequencies(n_points, step))
     lattice = theta_lattice(params, mode, n_points, step)
-    assert lattice.dtype == np.float64 and lattice.shape == (n_points,)
+    half = n_points // 2 + 1
+    assert lattice.dtype == np.float64 and lattice.shape == (half,)
     assert np.array_equal(full.imag, np.zeros(n_points))
-    assert np.array_equal(lattice, full.real)
+    assert np.array_equal(full.real[1:], full.real[:0:-1])
+    assert np.array_equal(lattice, full.real[:half])
 
 
 def test_symbol_axis_zeros_and_poles():
