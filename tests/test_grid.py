@@ -21,7 +21,6 @@ from cylspec.greens import (
 )
 from cylspec.grid import (
     GridFunction,
-    angular_frequencies,
     fftconvolve,
     multiply,
     real_circulant,

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from cylspec import profiles
 from cylspec.errors import DomainError, NoFitError, ValidationError, WindowError
 from cylspec.greens import build_greens, solve_convolution
-from cylspec import profiles
 from cylspec.grid import GridFunction, multiply
 from cylspec.indicial import IndicialRoot, find_roots
 from cylspec.profiles import (
