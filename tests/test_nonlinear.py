@@ -1,7 +1,10 @@
 """Newton solver convergence, basins, and failure modes."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.fft
 
 import cylspec.nonlinear
 from cylspec.errors import DivergenceError, NegativityError, ValidationError
@@ -194,23 +197,30 @@ def test_right_preconditioning_closes_the_grid_gap(eps, f):
 
 @pytest.mark.parametrize("n, gamma, kappa", [(3, 0.5, 0.3), (4, 0.75, 0.0)])
 def test_one_circulant_per_krylov_iteration(monkeypatch, n, gamma, kappa):
-    # One real transform per Krylov product, one for each Newton step's
-    # true-residual check and one for its step ``delta = P y``, and one
-    # for the circulant's kernel; two circulants per product would double it.
-    calls = []
-    rfft = np.fft.rfft
+    # The circulant runs its real transforms at its fast length, the exact
+    # residual at the lattice's own.  One circulant transform per Krylov
+    # product, one for each Newton step's true-residual check and one for
+    # its step ``delta = P y``, and one for the circulant's kernel; two
+    # circulants per product would double it.
+    calls = Counter()
+    rfft = scipy.fft.rfft
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return rfft(*args, **kwargs)
+    def counted(x, n=None, *args, **kwargs):
+        calls[x.shape[-1] if n is None else n] += 1
+        return rfft(x, n, *args, **kwargs)
 
     params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
     guess = _perturbed_bubble(params, 0.13, 0.75)
-    monkeypatch.setattr(np.fft, "rfft", counted)
+    monkeypatch.setattr(scipy.fft, "rfft", counted)
     report = solve_profile(params, guess)
     assert report.converged
+    size = guess.samples.size
+    fast = scipy.fft.next_fast_len(2 * size - 1, real=True)
+    assert set(calls) == {size, fast}
     krylov = sum(h.gmres_iterations for h in report.history)
-    assert len(calls) <= krylov + 2 * report.iterations + 1
+    assert krylov + 1 <= calls[fast] <= krylov + 2 * report.iterations + 1
+    # the initial residual and at least one trial per Newton step
+    assert calls[size] >= report.iterations + 1
 
 
 def test_solved_tail_is_clean():
