@@ -7,11 +7,13 @@ linearization ``Theta_0 - kappa - p w^(p-1)`` is the free operator plus
 a localized potential, so GMRES is right-preconditioned by the exact
 inverse ``P = (Theta_0 - kappa)^(-1)``, built once per solve: it solves
 ``(I - p w^(p-1) P) y = r`` with one ``P`` per Krylov product, the step
-is ``P y``, and its residual is the Newton residual, which
-:data:`GMRES_FLOOR` bounds.  ``P`` is bounded by ``1/(Lambda - kappa)``
-(derived in :func:`solve_profile`), so the operator is the identity plus
-a compact term, and GMRES takes about as many iterations on a refined
-grid as on the default one.  Each Newton step is a :class:`NewtonStep`
+is ``P y``, and its residual is the Newton residual.  GMRES solves to
+a small multiple of the squared Newton residual, which keeps Newton's
+quadratic rate (Dembo, Eisenstat & Steihaug, "Inexact Newton methods",
+1982), but never below :data:`GMRES_FLOOR`.  ``P`` is bounded by
+``1/(Lambda - kappa)`` (derived in :func:`solve_profile`), so the
+operator is the identity plus a compact term, and GMRES takes about as
+many iterations on a refined grid as on the default one.  Each Newton step is a :class:`NewtonStep`
 on the report and on the error that ends a failed solve.  Parity of an
 even initial guess is enforced on every iterate, which also keeps the
 translation direction out of the linearization's way.
@@ -39,11 +41,16 @@ __all__ = ["NewtonStep", "SolveReport", "solve_profile"]
 MAX_ITERATIONS = 50
 MAX_HALVINGS = 6
 NEGATIVITY_RETRIES = 2
-# GMRES stops at an absolute residual of this fraction of the Newton
-# tolerance: a relative 1e-10 on a right-hand side already near the
-# tolerance asks for less than one product's round-off and never ends.
-# The 2-norm bounds the sup norm, so the step still lands below tolerance.
+# A Newton step from the sup residual r stops GMRES at the absolute
+# residual FORCING * r * min(r, 1): below a multiple of r^2 the step keeps
+# Newton quadratic, and above r = 1 the stop stays under the right-hand
+# side's 2-norm, so GMRES always iterates.  The stop never falls below GMRES_FLOOR times
+# the Newton tolerance, which bounds the last step: a relative 1e-10 on a
+# right-hand side already near the tolerance asks for less than one
+# product's round-off and never ends.  The 2-norm bounds the sup norm, so
+# that step still lands below tolerance.
 GMRES_FLOOR = 0.1
+FORCING = 0.1
 
 
 def gmres(A, b, **kwargs):
@@ -116,7 +123,9 @@ def solve_profile(
 
     Each step is ``P y`` for the GMRES solution of ``(I - p w^(p-1) P) y = r``,
     ``P = (Theta_0 - kappa)^(-1)`` being one fast-length circulant built
-    once per solve.  It is bounded for every accepted ``0 <= kappa < Lambda``:
+    once per solve, and GMRES stops at ``FORCING * r * min(r, 1)`` for the
+    step's sup residual ``r``, or at ``GMRES_FLOOR * tolerance`` if larger.
+    ``P`` is bounded for every accepted ``0 <= kappa < Lambda``:
     with ``Theta_0(xi) = 2^(2 gamma) |Gamma(A + i xi/2)|^2 / |Gamma(B + i xi/2)|^2``,
     ``A > B > 0``, the product form of Gamma gives on real frequencies
 
@@ -158,7 +167,6 @@ def solve_profile(
     n = w.size
     sym_vals = theta_lattice(params, 0, n, initial_guess.step) - params.kappa
     inverse = real_circulant(1.0 / sym_vals, n)
-    gmres_atol = GMRES_FLOOR * tolerance
 
     def residual(v):
         return multiply(sym_vals, v) - _odd_power(v, p)
@@ -178,8 +186,9 @@ def solve_profile(
 
         op = LinearOperator((n, n), matvec=lambda y: y - pot * inverse(y), dtype=np.float64)
         krylov = []
+        atol = max(GMRES_FLOOR * tolerance, FORCING * rnorm * min(rnorm, 1.0))
         y, info = gmres(
-            op, r, restart=60, maxiter=300, atol=gmres_atol, rtol=1e-10,
+            op, r, restart=60, maxiter=300, atol=atol, rtol=1e-10,
             callback=krylov.append, callback_type="pr_norm",
         )
         if info != 0:

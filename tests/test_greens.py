@@ -466,6 +466,22 @@ def test_kept_sums_converge_to_closed_form_moments(n, gamma, kappa):
         assert s3 < t3 and s5 < t5
 
 
+def test_kept_sums_converge_to_closed_form_moments_near_gamma_one():
+    # gamma = 0.95 with kappa below Theta_0(0) = 0.0025, so every mode is
+    # stable.  At mode 0 the sixth-moment remainders of both truncations
+    # are round-off (3.1e-15 each), so only a larger one must shrink.
+    params = CylinderParams(n=2, gamma=0.95, kappa=0.001)
+    for mode in range(4):
+        short, long = build_greens(params, mode, 12), build_greens(params, mode, 150)
+        _, q2, q4 = _full_moments(long)
+        full = (-0.25 * q2, q4 / 48.0)
+        s3, s5 = (abs(s / f) for s, f in zip(long.dropped_moments()[1:], full))
+        t3, t5 = (abs(s / f) for s, f in zip(short.dropped_moments()[1:], full))
+        assert s3 < 1e-4 and s5 < 1e-7
+        assert s3 < t3
+        assert s5 < t5 or t5 <= 1e-13
+
+
 @pytest.mark.parametrize("mode", range(4))
 def test_long_series_builds_when_gamma_is_near_one(mode):
     # Theta grows like |z|^(2 gamma), about 5e4 at the last root z = 300i

@@ -249,3 +249,51 @@ def test_default_fit_window_follows_the_tail(n, gamma):
     sigma0 = 0.5 * n - gamma
     assert abs(fit.sigma - sigma0) <= 1e-6 * sigma0
     assert fit.tau == 0.0
+
+
+def _stop_at_the_floor(monkeypatch, tolerance=1e-10):
+    """Run every GMRES call to ``GMRES_FLOOR * tolerance``, with no forcing term."""
+    gmres = cylspec.nonlinear.gmres
+
+    def floor_only(op, b, **kwargs):
+        return gmres(op, b, **{**kwargs, "atol": cylspec.nonlinear.GMRES_FLOOR * tolerance})
+
+    monkeypatch.setattr(cylspec.nonlinear, "gmres", floor_only)
+
+
+@pytest.mark.parametrize("step", [2.0**-7, 2.0**-8], ids=["7681", "15361"])
+@pytest.mark.parametrize(
+    "n, gamma, kappa", [(3, 0.5, 0.0), (4, 0.75, 0.0), (3, 0.5, 0.3), (2, 0.3, 0.2)]
+)
+def test_forcing_keeps_the_newton_steps(monkeypatch, n, gamma, kappa, step):
+    # A linear residual below FORCING * r^2 keeps Newton quadratic (Dembo,
+    # Eisenstat & Steihaug): the same steps to the same solution as GMRES
+    # run to the floor, for about two thirds of its Krylov iterations.
+    params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
+    guess = _perturbed_bubble(params, 0.13, 0.75, step)
+    report = solve_profile(params, guess)
+    with monkeypatch.context() as patched:
+        _stop_at_the_floor(patched)
+        reference = solve_profile(params, guess)
+    assert report.converged and report.iterations == reference.iterations
+    w, ref = report.solution.samples, reference.solution.samples
+    assert np.max(np.abs(w - ref)) <= 1e-11 * np.max(np.abs(ref))
+    krylov, ref_krylov = (sum(h.gmres_iterations for h in r.history) for r in (report, reference))
+    assert krylov <= 0.8 * ref_krylov
+
+
+@pytest.mark.parametrize("height, newton_steps", [(3.0, 6), (6.0, 7), (20.0, 9)])
+def test_forcing_above_unit_residual(monkeypatch, height, newton_steps):
+    # Initial sup residuals of 6, 30 and 380: above 1 the stop is FORCING
+    # times the sup norm, below the 2-norm, so every GMRES call iterates.
+    # Uncapped, FORCING * 380^2 is above the 2-norm, GMRES returns zero and
+    # the 20/cosh solve stalls at its first step.
+    params = CylinderParams(n=3, gamma=0.5)
+    guess = _grid(lambda t: height / np.cosh(t))
+    report = solve_profile(params, guess)
+    with monkeypatch.context() as patched:
+        _stop_at_the_floor(patched)
+        reference = solve_profile(params, guess)
+    assert report.history[0].residual > 5.0
+    assert report.converged and report.iterations == reference.iterations == newton_steps
+    assert all(h.gmres_iterations >= 1 for h in report.history)
