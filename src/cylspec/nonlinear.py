@@ -13,10 +13,11 @@ quadratic rate (Dembo, Eisenstat & Steihaug, "Inexact Newton methods",
 1982), but never below :data:`GMRES_FLOOR`.  ``P`` is bounded by
 ``1/(Lambda - kappa)`` (derived in :func:`solve_profile`), so the
 operator is the identity plus a compact term, and GMRES takes about as
-many iterations on a refined grid as on the default one.  Each Newton step is a :class:`NewtonStep`
-on the report and on the error that ends a failed solve.  Parity of an
-even initial guess is enforced on every iterate, which also keeps the
-translation direction out of the linearization's way.
+many iterations on a refined grid as on the default one.  Each Newton
+step is a :class:`NewtonStep` on the report and on the error that ends a
+failed solve.  Parity of an even initial guess is enforced on every
+iterate, which also keeps the translation direction out of the
+linearization's way.
 
 The Newton residual, which defines the solution and its tail, uses the
 exact multiplier :func:`grid.multiply`.  ``P`` only steers the step, so
@@ -44,11 +45,11 @@ NEGATIVITY_RETRIES = 2
 # A Newton step from the sup residual r stops GMRES at the absolute
 # residual FORCING * r * min(r, 1): below a multiple of r^2 the step keeps
 # Newton quadratic, and above r = 1 the stop stays under the right-hand
-# side's 2-norm, so GMRES always iterates.  The stop never falls below GMRES_FLOOR times
-# the Newton tolerance, which bounds the last step: a relative 1e-10 on a
-# right-hand side already near the tolerance asks for less than one
-# product's round-off and never ends.  The 2-norm bounds the sup norm, so
-# that step still lands below tolerance.
+# side's 2-norm, so GMRES always iterates.  It never falls below
+# GMRES_FLOOR times the Newton tolerance, which bounds the last step: a
+# relative 1e-10 on a right-hand side already near the tolerance asks for
+# less than one product's round-off and never ends.  The 2-norm bounds
+# the sup norm, so that step still lands below tolerance.
 GMRES_FLOOR = 0.1
 FORCING = 0.1
 

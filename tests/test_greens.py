@@ -446,6 +446,17 @@ def test_dropped_moments_match_mpmath_near_threshold(gamma, mode):
         assert abs(g - p) <= 1e-13 * conditioning * abs(p)
 
 
+def _dropped_fractions(params, mode):
+    """The dropped fourth and sixth moments at truncations 150 and 12, as
+    fractions of the full moments: ``(s3, s5, t3, t5)``."""
+    short, long = build_greens(params, mode, 12), build_greens(params, mode, 150)
+    _, q2, q4 = _full_moments(long)
+    full = (-0.25 * q2, q4 / 48.0)
+    s3, s5 = (abs(s / f) for s, f in zip(long.dropped_moments()[1:], full))
+    t3, t5 = (abs(s / f) for s, f in zip(short.dropped_moments()[1:], full))
+    return s3, s5, t3, t5
+
+
 @pytest.mark.parametrize(
     "n, gamma, kappa",
     [(3, 0.5, 0.3), (4, 0.1, 0.05), (5, 0.25, 0.0), (2, 0.05, 0.5), (6, 0.9, 1.0)],
@@ -457,11 +468,7 @@ def test_kept_sums_converge_to_closed_form_moments(n, gamma, kappa):
     # the full moment, at (4, 0.1, 0.05), mode 3.
     params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
     for mode in range(4):
-        short, long = build_greens(params, mode, 12), build_greens(params, mode, 150)
-        _, q2, q4 = _full_moments(long)
-        full = (-0.25 * q2, q4 / 48.0)
-        s3, s5 = (abs(s / f) for s, f in zip(long.dropped_moments()[1:], full))
-        t3, t5 = (abs(s / f) for s, f in zip(short.dropped_moments()[1:], full))
+        s3, s5, t3, t5 = _dropped_fractions(params, mode)
         assert s3 < 1e-4 and s5 < 1e-7
         assert s3 < t3 and s5 < t5
 
@@ -472,11 +479,7 @@ def test_kept_sums_converge_to_closed_form_moments_near_gamma_one():
     # are round-off (3.1e-15 each), so only a larger one must shrink.
     params = CylinderParams(n=2, gamma=0.95, kappa=0.001)
     for mode in range(4):
-        short, long = build_greens(params, mode, 12), build_greens(params, mode, 150)
-        _, q2, q4 = _full_moments(long)
-        full = (-0.25 * q2, q4 / 48.0)
-        s3, s5 = (abs(s / f) for s, f in zip(long.dropped_moments()[1:], full))
-        t3, t5 = (abs(s / f) for s, f in zip(short.dropped_moments()[1:], full))
+        s3, s5, t3, t5 = _dropped_fractions(params, mode)
         assert s3 < 1e-4 and s5 < 1e-7
         assert s3 < t3
         assert s5 < t5 or t5 <= 1e-13

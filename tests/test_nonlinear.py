@@ -251,14 +251,17 @@ def test_default_fit_window_follows_the_tail(n, gamma):
     assert fit.tau == 0.0
 
 
-def _stop_at_the_floor(monkeypatch, tolerance=1e-10):
-    """Run every GMRES call to ``GMRES_FLOOR * tolerance``, with no forcing term."""
+def _solve_to_the_floor(monkeypatch, params, guess, tolerance=1e-10):
+    """``solve_profile`` with every GMRES call run to ``GMRES_FLOOR * tolerance``,
+    with no forcing term."""
     gmres = cylspec.nonlinear.gmres
 
     def floor_only(op, b, **kwargs):
         return gmres(op, b, **{**kwargs, "atol": cylspec.nonlinear.GMRES_FLOOR * tolerance})
 
-    monkeypatch.setattr(cylspec.nonlinear, "gmres", floor_only)
+    with monkeypatch.context() as patched:
+        patched.setattr(cylspec.nonlinear, "gmres", floor_only)
+        return solve_profile(params, guess, tolerance)
 
 
 @pytest.mark.parametrize("step", [2.0**-7, 2.0**-8], ids=["7681", "15361"])
@@ -272,9 +275,7 @@ def test_forcing_keeps_the_newton_steps(monkeypatch, n, gamma, kappa, step):
     params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
     guess = _perturbed_bubble(params, 0.13, 0.75, step)
     report = solve_profile(params, guess)
-    with monkeypatch.context() as patched:
-        _stop_at_the_floor(patched)
-        reference = solve_profile(params, guess)
+    reference = _solve_to_the_floor(monkeypatch, params, guess)
     assert report.converged and report.iterations == reference.iterations
     w, ref = report.solution.samples, reference.solution.samples
     assert np.max(np.abs(w - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -291,9 +292,7 @@ def test_forcing_above_unit_residual(monkeypatch, height, newton_steps):
     params = CylinderParams(n=3, gamma=0.5)
     guess = _grid(lambda t: height / np.cosh(t))
     report = solve_profile(params, guess)
-    with monkeypatch.context() as patched:
-        _stop_at_the_floor(patched)
-        reference = solve_profile(params, guess)
+    reference = _solve_to_the_floor(monkeypatch, params, guess)
     assert report.history[0].residual > 5.0
     assert report.converged and report.iterations == reference.iterations == newton_steps
     assert all(h.gmres_iterations >= 1 for h in report.history)
