@@ -26,6 +26,7 @@ each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,6 +160,7 @@ def build_greens(params, mode=0, truncation=12):
     )
 
 
+@functools.cache
 def _gauss_nodes():
     x, w = np.polynomial.legendre.leggauss(48)
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]

@@ -15,12 +15,12 @@ real pair.  Every reported configuration is certified afterwards by an
 argument-principle winding count on a rectangle enclosing it.
 
 One array solver finds all roots of a call together: it brackets each
-root, bisects every bracket down to adjacent floats, then polishes by
-Newton, and each step is one vectorized symbol evaluation on the roots
-still moving.  Each root takes the same steps as a search of its own,
-so the roots do not depend on how many are requested.  That makes the
-certified result reusable: :func:`find_roots` keeps the last 64
-``(params, mode)`` results and answers a smaller count from the prefix.
+root, then runs Newton that bisects when a step would leave the bracket,
+each step one vectorized symbol-and-slope evaluation on the roots still
+moving.  Each root takes the same steps as a search of its own, so the
+roots do not depend on how many are requested.  That makes the certified
+result reusable: :func:`find_roots` keeps the last 64 ``(params, mode)``
+results and answers a smaller count from the prefix.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     ThresholdError,
     ValidationError,
 )
-from .symbol import ModeIndex, mode_constants, theta, theta_derivative
+from .symbol import ModeIndex, _theta_and_derivative, mode_constants, theta, theta_derivative
 
 __all__ = [
     "IndicialRoot",
@@ -54,8 +54,7 @@ ROOT_RESIDUAL_TOL = 1e-8
 DEGENERATE_TOL = 1e-10
 _DEGENERATE_FAR = 1e4  # |z| past which the degeneracy test scales with |z|
 _NEWTON_TOL = 1e-12
-_NEWTON_MAXIT = 50
-_BISECT_MAXIT = 100
+_STEP_MAXIT = 100  # safeguarded Newton steps per root; about 10 are taken
 _TRIES = 200  # bracket attempts per end
 _KAPPA_MAX = 1e8  # where the continuation of find_lambda_prime gives up
 _AXIS = 1j  # roots z = i sigma
@@ -88,9 +87,10 @@ def _values(params, mode, along, x):
     return np.asarray(theta(params, mode, along * x)).real
 
 
-def _slopes(params, mode, along, x):
-    """Derivative of ``x -> Theta_m(along * x)``."""
-    return (along * np.asarray(theta_derivative(params, mode, along * x))).real
+def _values_and_slopes(params, mode, along, x):
+    """:func:`_values` and the derivative of ``x -> Theta_m(along * x)``, from one call."""
+    th, d = _theta_and_derivative(params, mode, along * x)
+    return th.real, (along * d).real
 
 
 def _window(a, b, j):
@@ -123,11 +123,12 @@ def _solve(params, mode, kappa, specs):
     by ``factor`` after each miss, until ``Theta - kappa`` takes the sign
     that end needs, and raises :class:`NoRootError` after ``tries``
     misses.  On the imaginary axis the symbol falls across each bracket,
-    on the real axis it rises.  Then sign-change bisection down to
-    adjacent floats, then Newton with bracket fallback inside
-    ``(lo anchor, hi anchor)``, or ``(0, 2 hi)`` on the real axis.  Each
-    step evaluates the symbol once on the roots still moving; every root
-    makes the decisions a scalar search of its own would.
+    on the real axis it rises.  Then Newton safeguarded by the bracket
+    (*Numerical Recipes* §9.4, ``rtsafe``): each step narrows the bracket
+    by the sign of ``Theta - kappa`` and takes the Newton step from the
+    same symbol call if it lands strictly inside, else bisects, until a
+    zero residual, a step below ``_NEWTON_TOL max(1, |x|)`` (taken) or
+    adjacent floats.  Every root makes a scalar search's decisions.
     """
     along = np.array([s[0] for s in specs])
     ends = np.array([s[1] for s in specs] + [s[2] for s in specs]).T
@@ -154,36 +155,28 @@ def _solve(params, mode, kappa, specs):
         inset[todo] *= factor[todo]
         point[todo] = anchor[todo] + inset[todo]
     lo, hi = point[:k], point[k:]
-    lower = anchor[:k]
-    upper = np.where(rising, 2.0 * hi, anchor[k:])
 
     lo_above = ~rising  # sign of Theta - kappa at the lo end
-    todo = np.arange(k)
-    for _ in range(_BISECT_MAXIT):
-        mid = 0.5 * (lo[todo] + hi[todo])
-        moving = (mid != lo[todo]) & (mid != hi[todo])
-        todo, mid = todo[moving], mid[moving]
-        if not todo.size:
-            break
-        above = _values(params, mode, along[todo], mid) - kappa > 0.0
-        same = above == lo_above[todo]
-        lo[todo[same]] = mid[same]
-        hi[todo[~same]] = mid[~same]
     x = 0.5 * (lo + hi)
-
     todo = np.arange(k)
-    for _ in range(_NEWTON_MAXIT):
+    for _ in range(_STEP_MAXIT):
         if not todo.size:
             break
-        r = _values(params, mode, along[todo], x[todo]) - kappa
-        d = _slopes(params, mode, along[todo], x[todo])
+        xt = x[todo]
+        r, d = _values_and_slopes(params, mode, along[todo], xt)
+        r -= kappa
+        same = (r > 0.0) == lo_above[todo]
+        lt = lo[todo] = np.where(same, xt, lo[todo])
+        ht = hi[todo] = np.where(same, hi[todo], xt)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = r / d
-        nxt = x[todo] - step
-        inside = (d != 0.0) & (lower[todo] < nxt) & (nxt < upper[todo])
-        todo, step, nxt = todo[inside], step[inside], nxt[inside]
-        x[todo] = nxt
-        todo = todo[np.abs(step) > _NEWTON_TOL * np.maximum(1.0, np.abs(nxt))]
+        nxt = xt - step
+        small = np.abs(step) <= _NEWTON_TOL * np.maximum(1.0, np.abs(xt))
+        newton = small | ((lt < nxt) & (nxt < ht))
+        mid = 0.5 * (lt + ht)
+        x[todo] = np.where(r == 0.0, xt, np.where(newton, nxt, mid))
+        done = (r == 0.0) | small | (~newton & ((mid == lt) | (mid == ht)))
+        todo = todo[~done]
     return x
 
 

@@ -309,10 +309,15 @@ def theta_derivative(params, mode, z):
     from the reciprocal-Gamma residue, 1/G(s) ~ (-1)^j j! (s + j).  At
     the symbol poles :func:`_gamma_ratio_exp` raises :class:`PoleError`.
     """
-    a, b = mode_constants(params, mode)
     z = np.asarray(z, dtype=np.complex128)
-    shape = z.shape
-    w = 0.5j * np.atleast_1d(z).ravel()
+    out = _theta_and_derivative(params, mode, np.atleast_1d(z).ravel())[1].reshape(z.shape)
+    return complex(out) if np.ndim(z) == 0 else out
+
+
+def _theta_and_derivative(params, mode, z):
+    """``(Theta_m(z), Theta_m'(z))`` on a 1-d array, from one Gamma-ratio call."""
+    a, b = mode_constants(params, mode)
+    w = 0.5j * z
     c = 2.0 * params.gamma * _LOG2
     th, logd = _gamma_ratio_exp(a, b, w, c, slope=True)
     out = th * 0.5j * logd
@@ -331,8 +336,7 @@ def theta_derivative(params, mode, z):
             + math.lgamma(j + 1)
         )
         out[idx] = s * 0.5j * rest * (-1.0 if j % 2 else 1.0)
-    out = out.reshape(shape)
-    return complex(out) if np.ndim(z) == 0 else out
+    return th, out
 
 
 def constant_A(params):

@@ -116,6 +116,18 @@ def test_quadrature_oracle_evenness_and_slope():
     assert abs(slope - 0.76091823639160877) < 0.01 * 0.76091823639160877
 
 
+def test_oracle_gauss_nodes_are_shared_and_unchanged():
+    from cylspec import greens
+
+    nodes, weights = greens._gauss_nodes()
+    before = nodes.copy(), weights.copy()
+    greens_quadrature_oracle(P03, 0, 1.0)
+    again = greens._gauss_nodes()
+    assert again[0] is nodes and again[1] is weights  # built once
+    assert np.array_equal(nodes, before[0]) and np.array_equal(weights, before[1])
+    assert abs(weights.sum() - 1.0) < 1e-14 and 0.0 < nodes.min() < nodes.max() < 1.0
+
+
 def test_quadrature_oracle_guards():
     with pytest.raises(DomainError):
         greens_quadrature_oracle(P03, 0, 0.0)

@@ -1,10 +1,13 @@
 """Resolvent pole location, residues, certification, continuation."""
 
+import importlib.util
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cylspec import indicial
@@ -283,6 +286,7 @@ def test_memo_is_bounded(cold):
 
 
 @settings(max_examples=80, deadline=None)
+@example(n=2, gamma=0.99999, mode=3, count=8, unstable=False, rel=0.5)  # |z| 17, |Theta'| 1.4e7
 @given(
     n=st.integers(2, 8),
     gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -303,7 +307,9 @@ def test_roots_are_certified_or_a_named_error(n, gamma, mode, count, unstable, r
     sig = [r.sigma for r in roots]
     assert len(roots) == count and sig == sorted(sig) and len(set(sig)) == count
     for j, r in enumerate(roots):
-        assert abs(complex(theta(params, mode, r.z)) - kappa) <= 1e-8
+        # The bound find_roots enforces: round-off grows with Theta, like |z|^(2 gamma).
+        tol = indicial.ROOT_RESIDUAL_TOL * max(1.0, abs(r.z) ** (2.0 * gamma))
+        assert abs(complex(theta(params, mode, r.z)) - kappa) <= tol
         assert r.index == j
         if j >= 1:  # a positive level may round onto the window's zero end
             assert 2.0 * a + 2.0 * (j - 1) < r.sigma <= 2.0 * b + 2.0 * j
@@ -311,3 +317,59 @@ def test_roots_are_certified_or_a_named_error(n, gamma, mode, count, unstable, r
         assert roots[0].sigma == 0.0 and roots[0].tau > 0.0
     else:
         assert 0.0 < roots[0].sigma <= 2.0 * b and roots[0].tau == 0.0
+
+
+@pytest.mark.parametrize(
+    "n, gamma, kappa, mode",
+    [(2, 0.1, 0.3, 0), (3, 0.5, 0.3, 0), (5, 0.25, 0.2, 2), (6, 0.9, 0.5, 3),
+     (3, 0.5, 1.0, 0), (4, 0.4, 3.5, 2)],
+)
+def test_search_takes_few_symbol_evaluations(monkeypatch, n, gamma, kappa, mode):
+    # Safeguarded Newton takes 7-10 evaluations on these 13-root searches;
+    # bisecting each bracket down to adjacent floats took 54-57.
+    calls = []
+    for name in ("_values", "_values_and_slopes"):
+        inner = getattr(indicial, name)
+        monkeypatch.setattr(indicial, name, lambda *a, f=inner: calls.append(1) or f(*a))
+    params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
+    a, b = mode_constants(params, mode)
+    lam = complex(theta(params, mode, 0.0)).real
+    first = indicial._REAL_PAIR if kappa > lam else indicial._first_axis(b)
+    specs = [first] + [indicial._window(a, b, j) for j in range(1, 13)]
+    x = indicial._solve(params, mode, kappa, specs)
+    assert len(x) == 13 and len(calls) <= 16
+
+
+@pytest.fixture
+def theta_mp():
+    """bench/reference's 40-digit-capable mpmath symbol, at mpmath's own precision after."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_reference", bench / "reference.py")
+    reference = importlib.util.module_from_spec(spec)
+    dps = mpmath.mp.dps
+    try:
+        spec.loader.exec_module(reference)  # sets mpmath.mp.dps
+    finally:
+        mpmath.mp.dps = dps
+    return reference.theta_mp
+
+
+@pytest.mark.parametrize(
+    "n, gamma, kappa, mode",
+    [(2, 0.1, 0.3, 0), (3, 0.5, 0.3, 0), (5, 0.25, 0.2, 2), (6, 0.9, 0.5, 3),
+     (2, 0.95, 0.001, 0), (4, 0.4, 1.0, 1)],
+)
+def test_axis_roots_match_mpmath(cold, theta_mp, n, gamma, kappa, mode):
+    # Both the bisect-then-polish search and safeguarded Newton land
+    # within 3.6 eps of the 40-digit root.
+    roots = find_roots(CylinderParams(n=n, gamma=gamma, kappa=kappa), mode, count=14)
+    with mpmath.workdps(40):
+        for r in roots:
+            if r.tau:
+                continue
+
+            def f(s):
+                return mpmath.re(theta_mp(n, gamma, mode, mpmath.mpc(0, s))) - kappa
+
+            want = float(mpmath.findroot(f, mpmath.mpf(r.sigma)))
+            assert abs(r.sigma - want) <= 8.0 * np.finfo(float).eps * want
