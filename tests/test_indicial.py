@@ -326,7 +326,7 @@ def test_roots_are_certified_or_a_named_error(n, gamma, mode, count, unstable, r
 )
 def test_search_takes_few_symbol_evaluations(monkeypatch, n, gamma, kappa, mode):
     # Safeguarded Newton takes 7-10 evaluations on these 13-root searches;
-    # bisecting each bracket down to adjacent floats took 54-57.
+    # bisection down to adjacent floats alone needs over 50.
     calls = []
     for name in ("_values", "_values_and_slopes"):
         inner = getattr(indicial, name)
@@ -342,13 +342,13 @@ def test_search_takes_few_symbol_evaluations(monkeypatch, n, gamma, kappa, mode)
 
 @pytest.fixture
 def theta_mp():
-    """bench/reference's 40-digit-capable mpmath symbol, at mpmath's own precision after."""
+    """``theta_mp`` of ``bench/reference.py``, whose import sets ``mpmath.mp.dps``; restored."""
     bench = Path(__file__).resolve().parents[1] / "bench"
     spec = importlib.util.spec_from_file_location("bench_reference", bench / "reference.py")
     reference = importlib.util.module_from_spec(spec)
     dps = mpmath.mp.dps
     try:
-        spec.loader.exec_module(reference)  # sets mpmath.mp.dps
+        spec.loader.exec_module(reference)
     finally:
         mpmath.mp.dps = dps
     return reference.theta_mp
@@ -360,8 +360,7 @@ def theta_mp():
      (2, 0.95, 0.001, 0), (4, 0.4, 1.0, 1)],
 )
 def test_axis_roots_match_mpmath(cold, theta_mp, n, gamma, kappa, mode):
-    # Both the bisect-then-polish search and safeguarded Newton land
-    # within 3.6 eps of the 40-digit root.
+    # Measured within 3.6 eps of the 40-digit roots.
     roots = find_roots(CylinderParams(n=n, gamma=gamma, kappa=kappa), mode, count=14)
     with mpmath.workdps(40):
         for r in roots:
