@@ -5,7 +5,8 @@ The equation is the multiplier form of the profile problem,
 grid and the power nonlinearity acts pointwise.  Each Newton
 linearization ``Theta_0 - kappa - p w^(p-1)`` is the free operator plus
 a localized potential, so GMRES is right-preconditioned by the exact
-inverse ``P = (Theta_0 - kappa)^(-1)``, built once per solve: it solves
+inverse ``P = (Theta_0 - kappa)^(-1)``, memoized per parameters and
+lattice, so repeated solves share it: it solves
 ``(I - p w^(p-1) P) y = r`` with one ``P`` per Krylov product, the step
 is ``P y``, and its residual is the Newton residual.  GMRES solves to
 a small multiple of the squared Newton residual, which keeps Newton's
@@ -30,6 +31,7 @@ residual it would leave noise in the decaying tails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,6 +106,14 @@ def _failure(cls, message, history):
     return err
 
 
+@lru_cache(maxsize=16)
+def _operator(params, n, step):
+    """``Theta_0 - kappa`` on the lattice, read-only, and ``P``'s circulant, memoized."""
+    sym_vals = theta_lattice(params, 0, n, step) - params.kappa
+    sym_vals.flags.writeable = False
+    return sym_vals, real_circulant(1.0 / sym_vals, n)
+
+
 def solve_profile(
     params: CylinderParams,
     initial_guess: GridFunction,
@@ -124,8 +134,9 @@ def solve_profile(
 
     Each step is ``P y`` for the GMRES solution of ``(I - p w^(p-1) P) y = r``,
     ``P = (Theta_0 - kappa)^(-1)`` being one fast-length circulant built
-    once per solve, and GMRES stops at ``FORCING * r * min(r, 1)`` for the
-    step's sup residual ``r``, or at ``GMRES_FLOOR * tolerance`` if larger.
+    once per parameters and lattice and shared by later solves, and GMRES
+    stops at ``FORCING * r * min(r, 1)`` for the step's sup residual
+    ``r``, or at ``GMRES_FLOOR * tolerance`` if larger.
     ``P`` is bounded for every accepted ``0 <= kappa < Lambda``:
     with ``Theta_0(xi) = 2^(2 gamma) |Gamma(A + i xi/2)|^2 / |Gamma(B + i xi/2)|^2``,
     ``A > B > 0``, the product form of Gamma gives on real frequencies
@@ -166,8 +177,7 @@ def solve_profile(
 
     p = params.p
     n = w.size
-    sym_vals = theta_lattice(params, 0, n, initial_guess.step) - params.kappa
-    inverse = real_circulant(1.0 / sym_vals, n)
+    sym_vals, inverse = _operator(params, n, initial_guess.step)
 
     def residual(v):
         return multiply(sym_vals, v) - _odd_power(v, p)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -281,14 +281,19 @@ def theta(params, mode, z):
     return complex(out) if np.ndim(z) == 0 else out
 
 
+@lru_cache(maxsize=32)
 def theta_lattice(params, mode, n, step):
     """``Theta_m`` on the ``n``-point lattice of spacing ``step``, as a half spectrum.
 
     The float64 values of ``theta(params, mode, angular_frequencies(n,
     step)).real`` on the ``n//2 + 1`` non-negative frequencies, bit for
     bit; the negative ones hold the same values, as ``Theta_m`` is even.
+    Memoized on ``(params, mode, n, step)``, so repeated solves on one
+    lattice share the array, which is read-only.
     """
-    return theta(params, mode, np.abs(angular_frequencies(n, step)[: n // 2 + 1])).real
+    half = theta(params, mode, np.abs(angular_frequencies(n, step)[: n // 2 + 1])).real.copy()
+    half.flags.writeable = False
+    return half
 
 
 def theta_shifted(params, mode, z):

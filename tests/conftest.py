@@ -1,0 +1,25 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from cylspec import indicial, nonlinear, symbol
+
+# Every memo in the package keyed on its arguments: the certified roots
+# per (params, mode), the lattice symbol per (params, mode, n, step), and
+# the profile solver's operator and preconditioner per (params, n, step).
+# (``greens._gauss_nodes`` is a fixed table.)  A new memo is registered
+# here, so that ``cold`` empties it too.
+MEMOS = (indicial._memo, symbol.theta_lattice, nonlinear._operator)
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def cold():
+    """Every memo empty before and after the test."""
+    clear_memos()
+    yield
+    clear_memos()

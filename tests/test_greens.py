@@ -116,6 +116,26 @@ def test_quadrature_oracle_evenness_and_slope():
     assert abs(slope - 0.76091823639160877) < 0.01 * 0.76091823639160877
 
 
+@pytest.mark.parametrize(
+    "n, gamma, kappa, mode",
+    [(4, 0.05, 0.1, 0), (2, 0.95, 0.001, 0), (2, 0.95, 0.001, 1), (3, 0.5, 0.3, 4), (5, 0.25, 0.2, 5)],
+)
+def test_edge_series_against_oracle_and_solvers(n, gamma, kappa, mode):
+    # Edge regions: gamma near 0 and 1, n = 2 with kappa just below
+    # Theta_0(0) = 0.0025, and modes 4 and 5.  The truncated series meets
+    # the quadrature oracle at the spectral_sweep checks' 1e-6, and the
+    # convolution and ODE routes agree on a Gaussian source.
+    params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
+    series = build_greens(params, mode, truncation=12)
+    for t in (1.0, 2.0, 4.0):
+        reference = greens_quadrature_oracle(params, mode, t)
+        assert abs(series(t) - reference) <= 1e-6 * abs(reference)
+    h = _gauss(width=1.0)
+    by_kernel = solve_convolution(series, h).samples
+    by_system = solve_ode_system(series, h).samples
+    assert np.max(np.abs(by_kernel - by_system)) <= 1e-10 * np.max(np.abs(by_kernel))
+
+
 def test_oracle_gauss_nodes_are_shared_and_unchanged():
     from cylspec import greens
 

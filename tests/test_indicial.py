@@ -225,14 +225,6 @@ def test_count_validation():
         find_roots(_params(0.3), mode=0, count=0)
 
 
-@pytest.fixture
-def cold():
-    """Empty root memo before and after the test."""
-    indicial._memo.cache_clear()
-    yield
-    indicial._memo.cache_clear()
-
-
 def _bits(roots):
     return [
         (r.sigma.hex(), r.tau.hex(), r.residue.real.hex(), r.residue.imag.hex(), r.index)

@@ -7,6 +7,7 @@ import pytest
 import scipy.fft
 
 import cylspec.nonlinear
+import cylspec.symbol
 from cylspec.errors import DivergenceError, NegativityError, ValidationError
 from cylspec.grid import GridFunction, tail_mask
 from cylspec.identities import pohozaev_check
@@ -196,12 +197,13 @@ def test_right_preconditioning_closes_the_grid_gap(eps, f):
 
 
 @pytest.mark.parametrize("n, gamma, kappa", [(3, 0.5, 0.3), (4, 0.75, 0.0)])
-def test_one_circulant_per_krylov_iteration(monkeypatch, n, gamma, kappa):
+def test_one_circulant_per_krylov_iteration(cold, monkeypatch, n, gamma, kappa):
     # The circulant runs its real transforms at its fast length, the exact
-    # residual at the lattice's own.  One circulant transform per Krylov
-    # product, one for each Newton step's true-residual check and one for
-    # its step ``delta = P y``, and one for the circulant's kernel; two
-    # circulants per product would double it.
+    # residual at the lattice's own.  From a cold start: one circulant
+    # transform per Krylov product, one for each Newton step's
+    # true-residual check and one for its step ``delta = P y``, and one
+    # for the circulant's kernel; two circulants per product would double
+    # it.  A warm repeat takes the kernel's transform from the memo.
     calls = Counter()
     rfft = scipy.fft.rfft
 
@@ -221,6 +223,44 @@ def test_one_circulant_per_krylov_iteration(monkeypatch, n, gamma, kappa):
     assert krylov + 1 <= calls[fast] <= krylov + 2 * report.iterations + 1
     # the initial residual and at least one trial per Newton step
     assert calls[size] >= report.iterations + 1
+    cold_calls = calls.copy()
+    calls.clear()
+    assert solve_profile(params, guess).history == report.history
+    assert calls[fast] == cold_calls[fast] - 1
+    assert calls[size] == cold_calls[size]
+
+
+def test_warm_solve_reuses_the_lattice_operator(cold, monkeypatch):
+    # A repeated solve on the same parameters and lattice takes the symbol
+    # and the preconditioner from the memo: no symbol evaluation, and the
+    # same solution bit for bit after the same Newton and GMRES steps.
+    params = CylinderParams(n=3, gamma=0.5, kappa=0.3)
+    guess = _perturbed_bubble(params, 0.13, 0.75)
+    calls = []
+    theta = cylspec.symbol.theta
+
+    def counted(*args):
+        calls.append(args)
+        return theta(*args)
+
+    monkeypatch.setattr(cylspec.symbol, "theta", counted)
+    first = solve_profile(params, guess)
+    assert len(calls) == 1  # the cold solve samples the lattice once
+    second = solve_profile(params, guess)
+    assert len(calls) == 1
+    assert np.array_equal(second.solution.samples, first.solution.samples)
+    assert second.history == first.history
+    sym_vals, _ = cylspec.nonlinear._operator(params, guess.samples.size, guess.step)
+    with pytest.raises(ValueError):
+        sym_vals[0] = 0.0
+
+
+def test_operator_memo_is_bounded(cold):
+    params = CylinderParams(n=3, gamma=0.5, kappa=0.3)
+    size = cylspec.nonlinear._operator.cache_parameters()["maxsize"]
+    for j in range(size + 6):
+        cylspec.nonlinear._operator(params, 16 + j, 0.1)
+    assert cylspec.nonlinear._operator.cache_info().currsize == size
 
 
 def test_solved_tail_is_clean():

@@ -147,6 +147,26 @@ def test_lattice_symbol_is_theta_on_the_lattice(n_points, step, n, gamma, mode):
     assert np.array_equal(lattice, full.real[:half])
 
 
+def test_lattice_symbol_is_shared_and_read_only(cold):
+    # Every caller on one lattice gets the same array, so none may write
+    # into it.
+    half = theta_lattice(P35, 0, 7681, 2.0**-7)
+    assert theta_lattice(P35, 0, 7681, 2.0**-7) is half
+    want = half.copy()
+    with pytest.raises(ValueError):
+        half[0] = 0.0
+    with pytest.raises(ValueError):
+        half *= 2.0
+    assert np.array_equal(half, want)
+
+
+def test_lattice_memo_is_bounded(cold):
+    size = theta_lattice.cache_parameters()["maxsize"]
+    for j in range(size + 6):
+        theta_lattice(P35, 0, 16 + j, 0.1)
+    assert theta_lattice.cache_info().currsize == size
+
+
 def test_symbol_axis_zeros_and_poles():
     # Denominator Gamma poles are zeros of the symbol: sigma = 2 B0 + 2k.
     assert complex(theta(P35, 0, 1j)) == 0.0
