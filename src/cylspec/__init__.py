@@ -9,7 +9,6 @@ must satisfy.  Everything is importable from the top level; the
 """
 
 from .errors import (
-    ContinuationError,
     CylspecError,
     DecayHypothesisError,
     DegenerateRootError,
@@ -38,13 +37,7 @@ from .greens import (
 )
 from .grid import DEFAULT_STEP, DEFAULT_T_MAX, GridFunction
 from .identities import PohozaevReport, pohozaev_check, wronskian, wronskian_defect
-from .indicial import (
-    IndicialRoot,
-    certified_count,
-    find_lambda_prime,
-    find_roots,
-    residue_at,
-)
+from .indicial import IndicialRoot, certified_count, find_roots, residue_at
 from .nonlinear import SolveReport, solve_profile
 from .profiles import (
     AsymptoticFit,
@@ -74,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticFit",
-    "ContinuationError",
     "CylinderParams",
     "CylspecError",
     "DEFAULT_STEP",
@@ -109,7 +101,6 @@ __all__ = [
     "component_solutions",
     "constant_A",
     "cylinder_constant",
-    "find_lambda_prime",
     "find_roots",
     "frobenius_fit",
     "greens_quadrature_oracle",

@@ -38,10 +38,6 @@ class DegenerateRootError(CylspecError):
     """Root with vanishing symbol derivative; simple-pole bookkeeping breaks down."""
 
 
-class ContinuationError(CylspecError):
-    """Parameter continuation lost its tracked root or exhausted its range."""
-
-
 class QuadratureError(CylspecError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 

@@ -11,8 +11,10 @@ each later window between a symbol pole ``2 A_m + 2(j-1)`` and the
 symbol zero ``2 B_m + 2j`` it falls from +infinity to 0, trapping
 exactly one crossing of any positive level.  Above the Hardy constant
 the first root leaves the axis through the origin and reappears as a
-real pair.  Every reported configuration is certified afterwards by an
-argument-principle winding count on a rectangle enclosing it.
+real pair; each later root stays in its window, so ``count`` roots are
+the first one and windows ``1 .. count-1``.  Every reported
+configuration is certified afterwards by an argument-principle winding
+count on a rectangle enclosing it.
 
 One array solver finds all roots of a call together: it brackets each
 root, then runs Newton that bisects when a step would leave the bracket,
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ContinuationError,
     DegenerateRootError,
     IncompleteError,
     NoRootError,
@@ -47,7 +48,6 @@ __all__ = [
     "find_roots",
     "residue_at",
     "certified_count",
-    "find_lambda_prime",
 ]
 
 ROOT_RESIDUAL_TOL = 1e-8
@@ -56,7 +56,6 @@ _DEGENERATE_FAR = 1e4  # |z| past which the degeneracy test scales with |z|
 _NEWTON_TOL = 1e-12
 _STEP_MAXIT = 100  # safeguarded Newton steps per root; about 10 are taken
 _TRIES = 200  # bracket attempts per end
-_KAPPA_MAX = 1e8  # where the continuation of find_lambda_prime gives up
 _AXIS = 1j  # roots z = i sigma
 _REAL = 1.0 + 0j  # the real pair z = +-tau
 
@@ -238,7 +237,7 @@ def certified_count(params, mode, sigma_lo, sigma_hi, tau_max=None):
     return w + _pole_count(a, sigma_lo, sigma_hi)
 
 
-def find_roots(params, mode=0, count=12, search_height=None):
+def find_roots(params, mode=0, count=12):
     """First ``count`` resolvent poles, sigma-sorted, certified.
 
     Stable levels (``kappa`` below the mode's Hardy constant) give a
@@ -249,33 +248,32 @@ def find_roots(params, mode=0, count=12, search_height=None):
 
     Raises :class:`ThresholdError` within ``1e-9`` of the threshold
     level (the first root degenerates to ``z = 0`` there) and
-    :class:`IncompleteError` if the requested count is not reached below
-    ``search_height``; the partial list rides on the exception as
-    ``.roots``.
+    :class:`IncompleteError` if the argument-principle count over the
+    roots' rectangle disagrees with the roots located; the located list
+    rides on the exception as ``.roots``.
 
     Results are memoized on ``(params, mode)``: a call for at most as
     many roots as an earlier one returns a new list holding that call's
-    first ``count`` roots.  A call with an explicit ``search_height``
-    always searches afresh.
+    first ``count`` roots.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    slot = _memo(params, mode) if search_height is None else []
+    slot = _memo(params, mode)
     known = slot[0] if slot else ()
     if len(known) >= count:
         return list(known[:count])
-    roots = _search(params, mode, count, search_height)
+    roots = _search(params, mode, count)
     slot[:] = [tuple(roots)]
     return roots
 
 
 @functools.lru_cache(maxsize=64)
 def _memo(params, mode):
-    """Slot holding the last certified roots of (params, mode) at the default height."""
+    """Slot holding the last certified roots of (params, mode)."""
     return []
 
 
-def _search(params, mode, count, search_height):
+def _search(params, mode, count):
     kappa = params.kappa
     lam_m = float(_values(params, mode, _AXIS, 0.0))
     if abs(kappa - lam_m) <= 1e-9:
@@ -284,27 +282,16 @@ def _search(params, mode, count, search_height):
             "the first root degenerates to z = 0"
         )
     a, b = mode_constants(params, mode)
-    if search_height is None:
-        search_height = 2.0 * b + 2.0 * count + 2.0
-    # Window j spans (2 A_m + 2(j - 1), 2 B_m + 2j); only those starting
-    # below the search height are searched.
-    windows = [j for j in range(1, count) if 2.0 * a + 2.0 * (j - 1) < search_height]
-
     if kappa == 0.0:
-        locations = [(2.0 * b + 2.0 * j, 0.0) for j in [0] + windows]
+        locations = [(2.0 * b + 2.0 * j, 0.0) for j in range(count)]
     else:
         first = _REAL_PAIR if kappa > lam_m else _first_axis(b)
-        x = _solve(params, mode, kappa, [first] + [_window(a, b, j) for j in windows]).tolist()
+        specs = [first] + [_window(a, b, j) for j in range(1, count)]
+        x = _solve(params, mode, kappa, specs).tolist()
         locations = [(0.0, x[0]) if kappa > lam_m else (x[0], 0.0)]
         locations += [(sigma, 0.0) for sigma in x[1:]]
 
     roots = _assemble(params, mode, kappa, locations)
-    if len(roots) < count:
-        err = IncompleteError(
-            f"only {len(roots)} of {count} roots below search_height={search_height}"
-        )
-        err.roots = roots
-        raise err
     _certify(params, mode, kappa > lam_m, a, b, roots)
     return roots
 
@@ -385,36 +372,3 @@ def _residue(sigma, tau, d):
         return complex(r.real, 0.0)
     return r
 
-
-def find_lambda_prime(params, mode=0):
-    """Level at which a second root pair would reach the real axis; always raises.
-
-    Continuation in ``kappa`` upward from the mode threshold, tracking
-    the second root ``sigma_1``.  No such level exists: the root search
-    keeps ``sigma_1`` inside its window ``(2 A_m, 2 B_m + 2)``, above the
-    first symbol pole ``2 A_m > 1``, and it decreases toward that pole
-    like ``1/kappa``.  The continuation reports the plateau, or failing
-    that the end of its range ``kappa <= 1e8``, as
-    :class:`ContinuationError` rather than inventing a finite level.
-    """
-    a, b = mode_constants(params, mode)
-    lam_m = float(_values(params, mode, _AXIS, 0.0))
-    floor = 2.0 * a
-    kap = lam_m * 1.01
-    ratio = 10.0 ** (1.0 / 6)  # six levels per decade
-    prev_gap = None
-    sigma1 = None
-    while kap <= _KAPPA_MAX:
-        sigma1 = float(_solve(params, mode, kap, [_window(a, b, 1)])[0])
-        gap = sigma1 - floor
-        if prev_gap is not None and gap < 1e-3 * floor and gap > 0.25 * prev_gap:
-            raise ContinuationError(
-                f"sigma_1 plateaus at the symbol pole {floor}: gap {gap:.3e} at "
-                f"kappa={kap:.6e}; the tracked root never reaches the real axis, "
-                "so no finite second threshold exists for this mode"
-            )
-        prev_gap = gap
-        kap *= ratio
-    raise ContinuationError(
-        f"tracked sigma_1 = {sigma1} still above 1e-6 at kappa_max = {_KAPPA_MAX}"
-    )

@@ -281,16 +281,22 @@ def theta(params, mode, z):
     return complex(out) if np.ndim(z) == 0 else out
 
 
-@lru_cache(maxsize=32)
 def theta_lattice(params, mode, n, step):
     """``Theta_m`` on the ``n``-point lattice of spacing ``step``, as a half spectrum.
 
     The float64 values of ``theta(params, mode, angular_frequencies(n,
     step)).real`` on the ``n//2 + 1`` non-negative frequencies, bit for
     bit; the negative ones hold the same values, as ``Theta_m`` is even.
-    Memoized on ``(params, mode, n, step)``, so repeated solves on one
-    lattice share the array, which is read-only.
+    Memoized on ``(params.n, params.gamma, mode, n, step)``, all the
+    symbol depends on, so repeated solves on one lattice share the array,
+    which is read-only, whatever their ``p`` and ``kappa``.
     """
+    return _lattice(params.n, params.gamma, mode, n, step)
+
+
+@lru_cache(maxsize=32)
+def _lattice(dim, gamma, mode, n, step):
+    params = CylinderParams(n=dim, gamma=gamma)
     half = theta(params, mode, np.abs(angular_frequencies(n, step)[: n // 2 + 1])).real.copy()
     half.flags.writeable = False
     return half

@@ -5,11 +5,12 @@ import pytest
 from cylspec import indicial, nonlinear, symbol
 
 # Every memo in the package keyed on its arguments: the certified roots
-# per (params, mode), the lattice symbol per (params, mode, n, step), and
-# the profile solver's operator and preconditioner per (params, n, step).
+# per (params, mode), the lattice symbol per (n, gamma, mode, lattice
+# size, step), and the profile solver's operator and preconditioner per
+# (params, n, step).
 # (``greens._gauss_nodes`` is a fixed table.)  A new memo is registered
-# here, so that ``cold`` empties it too.
-MEMOS = (indicial._memo, symbol.theta_lattice, nonlinear._operator)
+# here, so that ``cold`` empties it too; ``test_memos.py`` checks that.
+MEMOS = (indicial._memo, symbol._lattice, nonlinear._operator)
 
 
 def clear_memos():

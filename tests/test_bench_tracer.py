@@ -55,11 +55,12 @@ def test_tracer_installs_counts_and_restores(monkeypatch):
     assert np.fft.fft is fft and GridFunction.__dict__["to_csv"] is to_csv
 
 
-def test_lattice_symbol_work_is_traced_at_half_the_lattice(monkeypatch):
+def test_lattice_symbol_work_is_traced_at_half_the_lattice(cold, monkeypatch):
     # The profile solve's lattice symbol goes through specfun.log_gamma, so
     # the trace counts it, and costs two log-Gammas per non-negative
     # frequency: 2 * 3841 on the 7681-point lattice, plus the two scalar
-    # points of the Hardy constant.
+    # points of the Hardy constant.  Cold: the lattice is shared with any
+    # earlier (3, 0.5) solve on it, whatever its kappa.
     tracer = _load_tracer(monkeypatch)
     originals = _originals(tracer)
     params = CylinderParams(n=3, gamma=0.5, kappa=0.3)

@@ -1,4 +1,4 @@
-"""Resolvent pole location, residues, certification, continuation."""
+"""Resolvent pole location, residues, certification."""
 
 import importlib.util
 import math
@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from cylspec import indicial
 from cylspec.errors import (
-    ContinuationError,
     CylspecError,
     DegenerateRootError,
     IncompleteError,
     ThresholdError,
     ValidationError,
 )
-from cylspec.indicial import certified_count, find_lambda_prime, find_roots, residue_at
+from cylspec.indicial import certified_count, find_roots, residue_at
 from cylspec.symbol import CylinderParams, mode_constants, theta, theta_derivative
 
 # Frozen 40-digit oracle: roots of sigma cot(pi sigma/2) = kappa in
@@ -136,14 +135,6 @@ def test_threshold_rejection():
         find_roots(params, mode=0, count=2)
 
 
-def test_incomplete_search_carries_partial():
-    with pytest.raises(IncompleteError) as info:
-        find_roots(_params(0.3), mode=0, count=5, search_height=4.0)
-    partial = info.value.roots
-    assert len(partial) == 2
-    assert abs(partial[0].sigma - SIGMA_03[0]) < 1e-11
-
-
 def test_roots_move_continuously_in_kappa():
     r1 = find_roots(_params(0.3), mode=0, count=4)
     r2 = find_roots(_params(0.3 + 1e-4), mode=0, count=4)
@@ -211,13 +202,42 @@ def test_higher_mode_roots():
         assert abs(r.sigma - (2.0 + 2 * j)) <= 1e-8
 
 
-def test_lambda_prime_plateau_is_reported():
-    with pytest.raises(ContinuationError, match="plateau"):
-        find_lambda_prime(_params(0.0))
-    # Frozen continuation: the level and gap at which the plateau is seen.
-    with pytest.raises(ContinuationError) as info:
-        find_lambda_prime(_params(0.0, 4, 0.6))
-    assert "pole 2.6: gap 2.351e-03 at kappa=7.556920e+02" in str(info.value)
+def test_second_root_stays_above_the_first_symbol_pole():
+    # No second root pair reaches the real axis as kappa grows past the
+    # threshold: sigma_1 stays in its window above the symbol pole 2 A_m
+    # and falls toward it like 1/kappa.  (sigma_1 - 2 A_m) kappa measured
+    # 2.5e-4 to 3.2 over these cases; (3, 0.05) stops at 10 Theta_m(0),
+    # where its real pair's tau_0 still certifies.
+    cases = [(3, 0.5, 100.0), (4, 0.6, 100.0), (2, 0.1, 100.0), (5, 0.9, 100.0),
+             (2, 0.95, 100.0), (4, 0.75, 100.0), (3, 0.05, 10.0)]
+    for n, gamma, top in cases:
+        for mode in range(3):
+            base = _params(0.0, n, gamma)
+            a, b = mode_constants(base, mode)
+            lam = complex(theta(base, mode, 0.0)).real
+            sigma = []
+            for kappa in np.geomspace(1.01, top, 7) * lam:
+                s1 = find_roots(_params(kappa, n, gamma), mode, count=2)[1].sigma
+                assert 2.0 * a < s1 < 2.0 * b + 2.0
+                assert (s1 - 2.0 * a) * kappa < 4.0
+                sigma.append(s1)
+            assert all(x > y for x, y in zip(sigma, sigma[1:])), (n, gamma, mode)
+
+
+def test_winding_mismatch_raises_incomplete_and_is_not_memoized(cold, monkeypatch):
+    # The certification's count is the only source of IncompleteError.
+    params = _params(0.3)
+    true_count = indicial.certified_count
+    with monkeypatch.context() as patch:
+        patch.setattr(indicial, "certified_count", lambda *a: true_count(*a) + 1)
+        with pytest.raises(IncompleteError) as info:
+            find_roots(params, mode=0, count=5)
+    located = info.value.roots
+    assert indicial._memo(params, 0) == []
+    certified = find_roots(params, mode=0, count=5)
+    assert _bits(located) == _bits(certified)
+    for r, want in zip(certified, SIGMA_03):
+        assert abs(r.sigma - want) < 1e-11
 
 
 def test_count_validation():
@@ -245,18 +265,6 @@ def test_prefix_equals_full_count(cold, regime, mode):
         assert _bits(find_roots(params, mode, count=k)) == full[:k]  # cold
     # A larger count after a smaller one searches again, to the same roots.
     assert _bits(find_roots(params, mode, count=14)) == full
-
-
-def test_incomplete_search_after_warm_call(cold):
-    find_roots(_params(0.3), mode=0, count=14)
-    test_incomplete_search_carries_partial()
-
-
-def test_explicit_search_height_is_a_cold_call(cold):
-    params = _params(0.3)
-    warm = _bits(find_roots(params, mode=0, count=14))
-    height = 2.0 * mode_constants(params, 0)[1] + 2.0 * 5 + 2.0
-    assert _bits(find_roots(params, mode=0, count=5, search_height=height)) == warm[:5]
 
 
 def test_returned_list_is_a_copy(cold):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import loggamma
 
+from cylspec import symbol
 from cylspec.errors import CylspecError, PoleError, ThresholdError, ValidationError
 from cylspec.grid import angular_frequencies
 from cylspec.symbol import (
@@ -160,11 +161,26 @@ def test_lattice_symbol_is_shared_and_read_only(cold):
     assert np.array_equal(half, want)
 
 
+def test_lattice_memo_is_keyed_on_what_the_symbol_depends_on(cold):
+    # Theta_m depends on (n, gamma) only: the Hardy level and the
+    # subcritical exponent share one array, equal to a cold evaluation.
+    half = theta_lattice(P35, 1, 7681, 2.0**-7)
+    hardy = CylinderParams(n=3, gamma=0.5, kappa=0.3)
+    subcritical = CylinderParams(n=3, gamma=0.5, p=1.8)
+    for params in (hardy, subcritical):
+        assert theta_lattice(params, 1, 7681, 2.0**-7) is half
+        symbol._lattice.cache_clear()
+        cold_half = theta_lattice(params, 1, 7681, 2.0**-7)
+        assert np.array_equal(cold_half, half) and not cold_half.flags.writeable
+        half = cold_half
+    assert symbol._lattice.cache_info().currsize == 1
+
+
 def test_lattice_memo_is_bounded(cold):
-    size = theta_lattice.cache_parameters()["maxsize"]
+    size = symbol._lattice.cache_parameters()["maxsize"]
     for j in range(size + 6):
         theta_lattice(P35, 0, 16 + j, 0.1)
-    assert theta_lattice.cache_info().currsize == size
+    assert symbol._lattice.cache_info().currsize == size
 
 
 def test_symbol_axis_zeros_and_poles():
