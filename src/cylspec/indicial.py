@@ -41,7 +41,7 @@ from .errors import (
     ThresholdError,
     ValidationError,
 )
-from .symbol import ModeIndex, _theta_and_derivative, mode_constants, theta, theta_derivative
+from .symbol import ModeIndex, _evaluate, mode_constants, theta, theta_derivative
 
 __all__ = [
     "IndicialRoot",
@@ -88,7 +88,7 @@ def _values(params, mode, along, x):
 
 def _values_and_slopes(params, mode, along, x):
     """:func:`_values` and the derivative of ``x -> Theta_m(along * x)``, from one call."""
-    th, d = _theta_and_derivative(params, mode, along * x)
+    th, d = _evaluate(params, mode, along * x, slope=True)
     return th.real, (along * d).real
 
 
@@ -297,16 +297,21 @@ def _search(params, mode, count):
 
 
 def _assemble(params, mode, kappa, locations):
-    """Roots with residues, after checking each location's symbol residual."""
+    """Roots with residues, after checking each location's symbol residual.
+
+    The bound is ``ROOT_RESIDUAL_TOL max(1, |z|^(2 gamma))``, as the
+    round-off grows with ``Theta``, or ``2 |Theta'(z)| spacing(|z|)``, what
+    one ulp of ``z`` moves ``Theta`` by next to a symbol pole, if larger.
+    """
     located = [(sigma, 0.0 if abs(tau) < 1e-9 else tau) for sigma, tau in sorted(locations)]
     z = np.array([complex(tau, sigma) for sigma, tau in located])
-    resid = np.abs(theta(params, mode, z) - kappa)
-    # Theta grows like |z|^(2 gamma), and so does its round-off.
+    th, slopes = _evaluate(params, mode, z, slope=True)
+    resid = np.abs(th - kappa)
     tol = ROOT_RESIDUAL_TOL * np.maximum(1.0, np.abs(z) ** (2.0 * params.gamma))
+    tol = np.maximum(tol, 2.0 * np.abs(slopes) * np.spacing(np.abs(z)))
     for zj, rj, tj in zip(z, resid, tol):
         if rj > tj:
             raise NoRootError(f"candidate at z={complex(zj)} has symbol residual {rj:.3e}")
-    slopes = theta_derivative(params, mode, z)
     return [
         IndicialRoot(sigma=sigma, tau=tau, residue=_residue(sigma, tau, complex(d)), index=j)
         for j, ((sigma, tau), d) in enumerate(zip(located, slopes))

@@ -50,9 +50,8 @@ _CONSTANT_SPREAD = 1e-10
 def bubble_amplitude(params: CylinderParams) -> float:
     """Peak value of the cosh profile; always exceeds 1."""
     g = params.gamma
-    ratio = math.exp(
-        (log_gamma(0.5 * params.n - g) - log_gamma(0.5 * params.n + g)).real
-    )
+    lg = log_gamma(np.array([0.5 * params.n - g, 0.5 * params.n + g]))
+    ratio = math.exp((lg[0] - lg[1]).real)
     c = (params.lam * ratio) ** (-(params.n - 2.0 * g) / (4.0 * g))
     if not c > 1.0:
         raise DomainError(f"degenerate profile amplitude {c!r}")

@@ -5,8 +5,10 @@ machinery.  The numerics are ``scipy.special`` (``loggamma``, ``psi``,
 ``polygamma``, ``hyp2f1``); this module is the boundary around them.
 It checks the input, turns poles and domain violations into named
 errors, and keeps the calling conventions: scalar in, scalar out, array
-in, array out.  Every call evaluates on a 1-d view, so a scalar result
-is bit-identical to the same entry of a vector result.
+in, array out.  A scalar result is bit-identical to the same entry of a
+vector result, and a row of a stacked input to that row alone.  The pole
+test of ``log_gamma`` is the one on the symbol's numerator Gammas, whose
+poles are the symbol's.
 
 ``log_gamma`` and ``digamma`` take complex arguments; ``polygamma`` one
 real ``x > 0``; ``hyp2f1`` real parameters and real ``|x| < 1``.

@@ -13,6 +13,13 @@ mode constants, the plain and subcritically shifted symbols, the
 stability classification of the Hardy term, and the closed-form
 convolution kernel of the shifted operator.
 
+One private evaluator serves :func:`theta`, :func:`theta_shifted`,
+:func:`theta_derivative` and the root search.  It stacks the Gamma
+arguments into one ``log_gamma`` call (and one ``digamma`` call for the
+slope), and tests each for a pole once: the denominator pair
+``B_m +- w`` in one mask (the symbol's zeros), the numerator in
+``log_gamma`` (the symbol's poles).
+
 Two symmetries halve the work on real frequencies.  There ``w = i xi/2``
 is imaginary, so ``lg(A - w) = conj(lg(A + w))`` (DLMF §5.4, from
 ``Gamma(conj s) = conj Gamma(s)``; ``scipy.special.loggamma`` keeps it
@@ -30,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, PoleError, ThresholdError, ValidationError
+from .errors import DomainError, ThresholdError, ValidationError
 from .grid import angular_frequencies
 from .specfun import digamma, hyp2f1, log_gamma, near_pole
 
@@ -69,8 +76,8 @@ def hardy_constant(n, gamma):
         raise ValidationError(f"gamma must be in (0, 1), got {gamma}")
     if n - 2.0 * gamma <= 0.0:
         raise ValidationError(f"n - 2 gamma must be positive, got n={n}, gamma={gamma}")
-    lg = log_gamma((n + 2.0 * gamma) / 4.0 + 0j) - log_gamma((n - 2.0 * gamma) / 4.0 + 0j)
-    return float(np.exp(2.0 * gamma * _LOG2 + 2.0 * lg).real)
+    lg = log_gamma(np.array([n + 2.0 * gamma, n - 2.0 * gamma]) / 4.0 + 0j)
+    return float(np.exp(2.0 * gamma * _LOG2 + 2.0 * (lg[0] - lg[1])).real)
 
 
 @dataclass(frozen=True)
@@ -217,8 +224,7 @@ def _log_ratio(a, b, w, offset, slope):
     the expansion of :func:`_far_log_ratio`; this is the one place that
     chooses.  Summing in ``+-w`` pairs keeps the direct value exactly
     even in ``w``.  When every ``w`` is imaginary (real ``z``, no shift)
-    each pair is ``2 Re lg``, bit for bit the same sum from two
-    log-Gammas instead of four.
+    each pair is ``2 Re lg``, bit for bit the same sum from two rows.
     """
     far = _far(a, w)
     if far.any():
@@ -229,45 +235,50 @@ def _log_ratio(a, b, w, offset, slope):
         if slope:
             deriv[far], deriv[~far] = d_far, d_near
         return value, deriv
+    args = np.stack([a + w, a - w, b + w, b - w])
     if np.any(w.real):
-        num, den = log_gamma(a + w) + log_gamma(a - w), log_gamma(b + w) + log_gamma(b - w)
+        lg = log_gamma(args)
+        value = offset + (lg[0] + lg[1]) - (lg[2] + lg[3])
     else:  # complex, as exp of a real array differs from the complex exp by an ulp
-        num, den = 2.0 * log_gamma(a + w).real + 0j, 2.0 * log_gamma(b + w).real + 0j
-    value = offset + num - den
-    deriv = digamma(a + w) - digamma(a - w) - digamma(b + w) + digamma(b - w) if slope else None
-    return value, deriv
+        lg = 2.0 * log_gamma(args[::2]).real + 0j
+        value = offset + lg[0] - lg[1]
+    if not slope:
+        return value, None
+    psi = digamma(args)
+    return value, psi[0] - psi[1] - psi[2] + psi[3]
 
 
-def _gamma_ratio_exp(a, b, w, two_gamma_log2, slope=False):
-    """exp(2g log 2 + lg(a+w) + lg(a-w) - lg(b+w) - lg(b-w)) with pole care.
+def _evaluate(params, mode, z, shift=0.0, slope=False):
+    """``Theta_m`` at ``w = (shift + i z)/2``, with ``Theta_m'(z)`` when ``slope``.
 
-    Poles of the numerator Gammas are poles of the symbol and raise;
-    poles of the denominator Gammas are legitimate zeros (the reciprocal
-    of the Gamma vanishes there), so those entries return exactly 0.
-    With ``slope`` returns the pair (ratio, log-derivative in ``w``),
-    the latter for callers that keep off the zeros.
+    ``z`` of any shape in, arrays of its shape out: the values, or the
+    pair (values, derivatives).  At the symbol's zeros the value is
+    exactly 0 and the derivative the limit of :func:`theta_derivative`.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-    if np.any(near_pole(a + w) | near_pole(a - w)):
-        raise PoleError("symbol evaluated at a pole (numerator Gamma argument)")
-    zero = near_pole(b + w) | near_pole(b - w)
-    # Move denominator poles to w = 0 before calling log_gamma, then restore.
-    logr, logd = _log_ratio(a, b, np.where(zero, 0.0, w), two_gamma_log2, slope)
-    out = np.exp(logr)
-    out[zero] = 0.0
-    # Reflection symmetry makes the ratio real whenever w is real (the
-    # imaginary axis of the symbol); drop the round-off phase there.
-    out.imag[w.imag == 0.0] = 0.0
-    return (out, logd) if slope else out
-
-
-def _theta_arr(params, mode, z, q_shift):
     a, b = mode_constants(params, mode)
     z = np.asarray(z, dtype=np.complex128)
-    shape = z.shape
-    w = 0.5 * (q_shift + 1j * np.atleast_1d(z))
-    out = _gamma_ratio_exp(a, b, w, 2.0 * params.gamma * _LOG2)
-    return out.reshape(shape)
+    w = 0.5 * (shift + 1j * z.ravel())
+    pole = near_pole(np.stack([b + w, b - w]))  # disjoint rows, as b > 0
+    zero = pole[0] | pole[1]
+    c = 2.0 * params.gamma * _LOG2
+    # Move the zeros to w = 0 before calling log_gamma, then restore.
+    logr, logd = _log_ratio(a, b, np.where(zero, 0.0, w), c, slope)
+    th = np.exp(logr)
+    th[zero] = 0.0
+    # Reflection symmetry makes the ratio real whenever w is real (the
+    # imaginary axis of the symbol); drop the round-off phase there.
+    th.imag[w.imag == 0.0] = 0.0
+    if not slope:
+        return th.reshape(z.shape)
+    d = th * 0.5j * logd
+    if zero.any():
+        # b + s w = -j vanishes; log j! joins the exponent, so large j cannot overflow.
+        wz, s = w[zero], np.where(pole[0][zero], 1.0, -1.0)
+        j = np.round(-(b + s * wz).real)
+        lg = log_gamma(np.stack([a + wz, a - wz, b - s * wz]))
+        rest = np.exp(c + lg[0] + lg[1] - lg[2] + [math.lgamma(k + 1.0) for k in j])
+        d[zero] = s * 0.5j * rest * np.where(j % 2, -1.0, 1.0)
+    return th.reshape(z.shape), d.reshape(z.shape)
 
 
 def theta(params, mode, z):
@@ -277,7 +288,7 @@ def theta(params, mode, z):
     like ``|z|^(2 gamma)`` along the real direction.  Accepts scalar or
     array ``z``; scalar in, scalar out.
     """
-    out = _theta_arr(params, mode, z, 0.0)
+    out = _evaluate(params, mode, z)
     return complex(out) if np.ndim(z) == 0 else out
 
 
@@ -308,7 +319,7 @@ def theta_shifted(params, mode, z):
     Coincides with :func:`theta` at the critical exponent, where the
     shift ``q0`` vanishes.
     """
-    out = _theta_arr(params, mode, z, params.q0)
+    out = _evaluate(params, mode, z, params.q0)
     return complex(out) if np.ndim(z) == 0 else out
 
 
@@ -318,36 +329,10 @@ def theta_derivative(params, mode, z):
     At the symbol zeros (denominator Gamma poles) the log-derivative
     form is 0 * inf; there the derivative is the finite limit obtained
     from the reciprocal-Gamma residue, 1/G(s) ~ (-1)^j j! (s + j).  At
-    the symbol poles :func:`_gamma_ratio_exp` raises :class:`PoleError`.
+    the symbol poles ``log_gamma`` raises ``PoleError``.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    out = _theta_and_derivative(params, mode, np.atleast_1d(z).ravel())[1].reshape(z.shape)
+    out = _evaluate(params, mode, z, slope=True)[1]
     return complex(out) if np.ndim(z) == 0 else out
-
-
-def _theta_and_derivative(params, mode, z):
-    """``(Theta_m(z), Theta_m'(z))`` on a 1-d array, from one Gamma-ratio call."""
-    a, b = mode_constants(params, mode)
-    w = 0.5j * z
-    c = 2.0 * params.gamma * _LOG2
-    th, logd = _gamma_ratio_exp(a, b, w, c, slope=True)
-    out = th * 0.5j * logd
-    at1 = near_pole(b + w)
-    for idx in np.nonzero(at1 | near_pole(b - w))[0]:  # disjoint since b > 0
-        wi = w[idx]
-        # The vanishing Gamma argument is b + s wi = -j; log j! joins the
-        # exponent so that large j cannot overflow.
-        s = 1.0 if at1[idx] else -1.0
-        j = int(round(-(b + s * wi).real))
-        rest = np.exp(
-            c
-            + log_gamma(a + wi)
-            + log_gamma(a - wi)
-            - log_gamma(b - s * wi)
-            + math.lgamma(j + 1)
-        )
-        out[idx] = s * 0.5j * rest * (-1.0 if j % 2 else 1.0)
-    return th, out
 
 
 def constant_A(params):
@@ -376,7 +361,7 @@ def stability_classify(params):
 
 
 def solve_p1(n, gamma):
-    """Exponent at which ``p A(p) = Lambda``, by bisection.
+    """Exponent at which ``p A(p) = Lambda``, by Brent's method.
 
     The product is increasing across the bracket: it tends to
     ``-Lambda`` at the lower endpoint (where ``A`` collapses through a
@@ -384,6 +369,8 @@ def solve_p1(n, gamma):
     exponent.  The returned root satisfies ``|p1 A(p1) - Lambda| <=
     1e-10``.
     """
+    from scipy.optimize import brentq  # at first use, not at `import cylspec`
+
     lam = hardy_constant(n, gamma)
 
     def margin(p):
@@ -397,18 +384,10 @@ def solve_p1(n, gamma):
         raise DomainError(
             f"stability margin does not change sign on ({lo}, {hi}): {flo:.3e}, {fhi:.3e}"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if margin(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    p1 = 0.5 * (lo + hi)
+    p1 = brentq(margin, lo, hi, xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps)
     res = abs(margin(p1))
     if res > 1e-10:
-        raise DomainError(f"bisection residual {res:.3e} exceeds 1e-10")
+        raise DomainError(f"root residual {res:.3e} exceeds 1e-10")
     return p1
 
 

@@ -287,6 +287,8 @@ def test_memo_is_bounded(cold):
 
 @settings(max_examples=80, deadline=None)
 @example(n=2, gamma=0.99999, mode=3, count=8, unstable=False, rel=0.5)  # |z| 17, |Theta'| 1.4e7
+# The nearest float to the root (0.36 ulp off 40-digit mpmath) leaves 1.1e-8, |Theta'| 2.8e8.
+@example(n=2, gamma=1e-09, mode=0, count=1, unstable=False, rel=0.75)
 @given(
     n=st.integers(2, 8),
     gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -307,8 +309,12 @@ def test_roots_are_certified_or_a_named_error(n, gamma, mode, count, unstable, r
     sig = [r.sigma for r in roots]
     assert len(roots) == count and sig == sorted(sig) and len(set(sig)) == count
     for j, r in enumerate(roots):
-        # The bound find_roots enforces: round-off grows with Theta, like |z|^(2 gamma).
-        tol = indicial.ROOT_RESIDUAL_TOL * max(1.0, abs(r.z) ** (2.0 * gamma))
+        # The bound find_roots enforces: round-off grows with Theta, like
+        # |z|^(2 gamma), and one ulp of z moves Theta by |Theta'| spacing(|z|).
+        tol = max(
+            indicial.ROOT_RESIDUAL_TOL * max(1.0, abs(r.z) ** (2.0 * gamma)),
+            2.0 * abs(theta_derivative(params, mode, r.z)) * np.spacing(abs(r.z)),
+        )
         assert abs(complex(theta(params, mode, r.z)) - kappa) <= tol
         assert r.index == j
         if j >= 1:  # a positive level may round onto the window's zero end
@@ -372,3 +378,32 @@ def test_axis_roots_match_mpmath(cold, theta_mp, n, gamma, kappa, mode):
 
             want = float(mpmath.findroot(f, mpmath.mpf(r.sigma)))
             assert abs(r.sigma - want) <= 8.0 * np.finfo(float).eps * want
+
+
+@pytest.mark.parametrize("n, gamma, mode", [(3, 0.5, 2), (5, 0.9, 1)])
+def test_axis_root_next_to_a_pole_at_large_kappa(cold, theta_mp, n, gamma, mode):
+    # At kappa = 1e4 Theta_m(0) the axis root sits about c/kappa above the
+    # pole 2 A_m, where one ulp of sigma moves Theta by more than
+    # ROOT_RESIDUAL_TOL: the residual of the nearest float (1.3e-7 and
+    # 6.0e-7) is within |Theta'| spacing(sigma), which the bound admits.
+    kappa = 1e4 * complex(theta(CylinderParams(n=n, gamma=gamma), mode, 0.0)).real
+    roots = find_roots(CylinderParams(n=n, gamma=gamma, kappa=kappa), mode, count=2)
+    assert roots[0].sigma == 0.0 and roots[0].tau > 0.0
+    a, _ = mode_constants(CylinderParams(n=n, gamma=gamma), mode)
+    sigma = roots[1].sigma
+    assert roots[1].tau == 0.0 and 0.0 < sigma - 2.0 * a < 1e-4
+    with mpmath.workdps(40):
+
+        def f(s):
+            return mpmath.re(theta_mp(n, gamma, mode, mpmath.mpc(0, s))) - kappa
+
+        want = float(mpmath.findroot(f, mpmath.mpf(sigma)))
+    assert abs(sigma - want) <= 2.0 * np.spacing(want)
+
+
+def test_root_search_reads_slopes_from_its_own_evaluation(cold, monkeypatch):
+    # The residues come from the evaluation that checks the residuals.
+    calls = []
+    monkeypatch.setattr(indicial, "theta_derivative", lambda *a: calls.append(a))
+    roots = find_roots(CylinderParams(n=3, gamma=0.5, kappa=0.3), 0, count=12)
+    assert len(roots) == 12 and not calls

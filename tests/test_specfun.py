@@ -128,6 +128,14 @@ def test_vectorized_matches_scalar():
     for i, z in enumerate(pts):
         assert lg[i] == log_gamma(complex(z))
         assert dg[i] == digamma(complex(z))
+    # A stack of arguments, as the symbol passes them, gives each row's
+    # 1-d values.
+    rows = pts.reshape(4, -1)
+    for fun in (log_gamma, digamma):
+        stacked = fun(rows)
+        assert stacked.shape == rows.shape
+        for row, got in zip(rows, stacked):
+            assert np.array_equal(got, fun(row))
     xs = np.linspace(-0.9, 1.0 - 1e-4, 41)
     vals = hyp2f1(2.75, 1.75, 2.0, xs)
     for x, v in zip(xs, vals):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import loggamma
 
-from cylspec import symbol
+from cylspec import specfun, symbol
 from cylspec.errors import CylspecError, PoleError, ThresholdError, ValidationError
 from cylspec.grid import angular_frequencies
 from cylspec.symbol import (
@@ -190,6 +190,11 @@ def test_symbol_axis_zeros_and_poles():
     # Numerator Gamma poles are symbol poles: sigma = 2 A0 + 2k.
     with pytest.raises(PoleError):
         theta(P35, 0, 2j)
+    # Shifted by q0: the pole where (q0 - sigma)/2 + A0 = 0.
+    sub = CylinderParams(n=3, gamma=0.5, p=1.75)
+    a, _ = mode_constants(sub, 0)
+    with pytest.raises(PoleError):
+        theta_shifted(sub, 0, 1j * (2.0 * a + sub.q0))
 
 
 def test_symbol_derivative_raises_at_symbol_poles():
@@ -197,6 +202,30 @@ def test_symbol_derivative_raises_at_symbol_poles():
     for z in (2j * a, -2j * a, [1.0, 2j * a + 2j]):
         with pytest.raises(PoleError):
             theta_derivative(P35, 0, z)
+
+
+def test_symbol_evaluation_tests_each_gamma_argument_once(monkeypatch):
+    # One evaluation stacks its Gamma arguments: one log_gamma and one
+    # digamma call, and a pole test for the denominator pair plus one in
+    # each of those two calls (the numerator's).
+    calls = {"log_gamma": 0, "digamma": 0, "near_pole": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(symbol, "log_gamma")
+    counted(symbol, "digamma")
+    counted(specfun, "near_pole")
+    monkeypatch.setattr(symbol, "near_pole", specfun.near_pole)
+    theta_derivative(P35, 0, 1j * np.linspace(0.05, 0.95, 13))
+    assert calls["log_gamma"] == 1 and calls["digamma"] == 1
+    assert calls["near_pole"] <= 3
 
 
 def test_symbol_derivative_matches_finite_difference():
@@ -228,6 +257,11 @@ def test_symbol_derivative_at_high_zeros_matches_mpmath(j):
         with mpmath.workdps(40):
             want = complex(mpmath.diff(symbol, mpmath.mpc(z)))
         assert abs(theta_derivative(P35, 0, z) - want) <= 1e-12 * abs(want)
+    # One batch over the zeros of every test case, a regular and a far
+    # point gives the scalar calls' values, bit for bit.
+    zeros = [complex(0, s * (1 + 2 * k)) for k in (5, 171, 200) for s in (1, -1)]
+    zs = np.array(zeros + [0.7 + 0.3j, 2e4 - 3j])
+    assert np.array_equal(theta_derivative(P35, 0, zs), [theta_derivative(P35, 0, z) for z in zs])
 
 
 @pytest.mark.parametrize(
