@@ -16,13 +16,17 @@ the first one and windows ``1 .. count-1``.  Every reported
 configuration is certified afterwards by an argument-principle winding
 count on a rectangle enclosing it.
 
-One array solver finds all roots of a call together: it brackets each
-root, then runs Newton that bisects when a step would leave the bracket,
-each step one vectorized symbol-and-slope evaluation on the roots still
-moving.  Each root takes the same steps as a search of its own, so the
-roots do not depend on how many are requested.  That makes the certified
-result reusable: :func:`find_roots` keeps the last 64 ``(params, mode)``
-results and answers a smaller count from the prefix.
+One array solver finds all roots of a call together.  Its brackets are
+these windows, and ``(0, 2 B_m)`` for the first axis root; their ends
+are never evaluated, since the symbol is +infinity at a pole, 0 at a
+zero and the Hardy constant at the origin.  Only the real pair's far end
+is searched, by doubling.  Newton runs from each bracket's midpoint and
+bisects when a step would leave the bracket, each step one vectorized
+symbol-and-slope evaluation on the roots still moving.  Each root takes
+the same steps as a search of its own, so the roots do not depend on how
+many are requested.  That makes the certified result reusable:
+:func:`find_roots` keeps the last 64 ``(params, mode)`` results and
+answers a smaller count from the prefix.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ DEGENERATE_TOL = 1e-10
 _DEGENERATE_FAR = 1e4  # |z| past which the degeneracy test scales with |z|
 _NEWTON_TOL = 1e-12
 _STEP_MAXIT = 100  # safeguarded Newton steps per root; about 10 are taken
-_TRIES = 200  # bracket attempts per end
+_TRIES = 200  # doublings of the real pair's far end
 _AXIS = 1j  # roots z = i sigma
 _REAL = 1.0 + 0j  # the real pair z = +-tau
 
@@ -92,72 +96,34 @@ def _values_and_slopes(params, mode, along, x):
     return th.real, (along * d).real
 
 
-def _window(a, b, j):
-    """Root spec for window j: (lo_pole, hi_zero) with ends inset by halving."""
-    lo_pole = 2.0 * a + 2.0 * (j - 1)
-    hi_zero = 2.0 * b + 2.0 * j
-    inset = 1e-3 * (hi_zero - lo_pole)
-    return _AXIS, (lo_pole, inset, 0.5, _TRIES), (hi_zero, -inset, 0.5, _TRIES)
+def _real_pair_end(params, mode, kappa):
+    """Far end of the real pair's bracket, doubling from 1 until ``Theta_m > kappa``.
 
-
-def _first_axis(b):
-    """Root spec in (0, 2 B_m), present exactly when 0 < kappa < Theta_m(0).
-
-    The zero end tries 2 B_m - 1e-8 and halves the gap down to 1e-13
-    (17 tries), for levels barely above the axis zero.
+    The symbol grows along the real axis; :class:`NoRootError` after ``_TRIES`` misses.
     """
-    return _AXIS, (0.0, 1e-8, 1.0, 1), (2.0 * b, -1e-8, 0.5, 17)
+    x = 1.0
+    for _ in range(_TRIES):
+        if _values(params, mode, _REAL, x) > kappa:
+            return x
+        x *= 2.0
+    raise NoRootError(f"Theta_m stays below kappa = {kappa} on the real axis up to {x / 2.0}")
 
 
-# Positive real root, present when kappa > Theta_m(0): the symbol grows
-# along the real axis, so the far end doubles from 1 until it passes kappa.
-_REAL_PAIR = (_REAL, (0.0, 1e-10, 1.0, 1), (0.0, 1.0, 2.0, _TRIES))
+def _solve(params, mode, kappa, along, lo, hi):
+    """Roots of ``Theta_m(along * x) = kappa``, one per bracket ``(lo, hi)``, all at once.
 
-
-def _solve(params, mode, kappa, specs):
-    """Roots of ``Theta_m(along * x) = kappa``, one per spec, all at once.
-
-    A spec is ``(along, lo_end, hi_end)`` and an end is ``(anchor, inset,
-    factor, tries)``: the end tries ``anchor + inset``, scaling ``inset``
-    by ``factor`` after each miss, until ``Theta - kappa`` takes the sign
-    that end needs, and raises :class:`NoRootError` after ``tries``
-    misses.  On the imaginary axis the symbol falls across each bracket,
-    on the real axis it rises.  Then Newton safeguarded by the bracket
-    (*Numerical Recipes* §9.4, ``rtsafe``): each step narrows the bracket
+    On the imaginary axis the symbol falls across each bracket, on the
+    real axis it rises; the ends are never evaluated, as their signs are
+    known.  Newton safeguarded by the bracket (*Numerical Recipes* §9.4,
+    ``rtsafe``) starts from the midpoint: each step narrows the bracket
     by the sign of ``Theta - kappa`` and takes the Newton step from the
     same symbol call if it lands strictly inside, else bisects, until a
     zero residual, a step below ``_NEWTON_TOL max(1, |x|)`` (taken) or
     adjacent floats.  Every root makes a scalar search's decisions.
     """
-    along = np.array([s[0] for s in specs])
-    ends = np.array([s[1] for s in specs] + [s[2] for s in specs]).T
-    anchor, inset, factor, tries = ends
-    k = len(specs)
-    rising = along.real > 0.0
-    want = np.concatenate([np.where(rising, -1.0, 1.0), np.where(rising, 1.0, -1.0)])
-    both = np.concatenate([along, along])
-
-    point = anchor + inset
-    misses = np.zeros(2 * k)
-    todo = np.arange(2 * k)
-    while todo.size:
-        ok = want[todo] * (_values(params, mode, both[todo], point[todo]) - kappa) > 0.0
-        todo = todo[~ok]
-        misses[todo] += 1.0
-        spent = todo[misses[todo] >= tries[todo]]
-        if spent.size:
-            i = spent[0]
-            raise NoRootError(
-                f"no bracket for root {i % k}: Theta_m - kappa keeps its sign "
-                f"through z = {complex(both[i] * point[i])} after {int(tries[i])} tries"
-            )
-        inset[todo] *= factor[todo]
-        point[todo] = anchor[todo] + inset[todo]
-    lo, hi = point[:k], point[k:]
-
-    lo_above = ~rising  # sign of Theta - kappa at the lo end
+    lo_above = along.real == 0.0  # Theta - kappa > 0 at the lo end on the imaginary axis
     x = 0.5 * (lo + hi)
-    todo = np.arange(k)
+    todo = np.arange(len(x))
     for _ in range(_STEP_MAXIT):
         if not todo.size:
             break
@@ -243,8 +209,10 @@ def find_roots(params, mode=0, count=12):
     Stable levels (``kappa`` below the mode's Hardy constant) give a
     first root on the imaginary axis inside ``(0, 2 B_m)``; unstable
     levels give a real pair ``+-tau_0`` instead, reported once with
-    ``sigma = 0``.  Later roots sit one per window regardless.  At
-    ``kappa = 0`` the roots are the symbol zeros ``2 B_m + 2j`` exactly.
+    ``sigma = 0``.  Later roots sit one per window regardless, and
+    safeguarded Newton finds each inside its window.  At ``kappa = 0``
+    the roots are the symbol zeros ``2 B_m + 2j`` exactly; a tiny
+    positive level may round a root onto its zero.
 
     Raises :class:`ThresholdError` within ``1e-9`` of the threshold
     level (the first root degenerates to ``z = 0`` there) and
@@ -285,9 +253,14 @@ def _search(params, mode, count):
     if kappa == 0.0:
         locations = [(2.0 * b + 2.0 * j, 0.0) for j in range(count)]
     else:
-        first = _REAL_PAIR if kappa > lam_m else _first_axis(b)
-        specs = [first] + [_window(a, b, j) for j in range(1, count)]
-        x = _solve(params, mode, kappa, specs).tolist()
+        # Window j from the pole 2 A_m + 2(j-1) to the zero 2 B_m + 2j, the first from 0.
+        j = np.arange(count, dtype=float)
+        lo = np.where(j > 0, 2.0 * a + 2.0 * (j - 1.0), 0.0)
+        hi = 2.0 * b + 2.0 * j
+        along = np.full(count, _AXIS)
+        if kappa > lam_m:
+            along[0], hi[0] = _REAL, _real_pair_end(params, mode, kappa)
+        x = _solve(params, mode, kappa, along, lo, hi).tolist()
         locations = [(0.0, x[0]) if kappa > lam_m else (x[0], 0.0)]
         locations += [(sigma, 0.0) for sigma in x[1:]]
 

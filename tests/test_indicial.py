@@ -328,22 +328,56 @@ def test_roots_are_certified_or_a_named_error(n, gamma, mode, count, unstable, r
 @pytest.mark.parametrize(
     "n, gamma, kappa, mode",
     [(2, 0.1, 0.3, 0), (3, 0.5, 0.3, 0), (5, 0.25, 0.2, 2), (6, 0.9, 0.5, 3),
-     (3, 0.5, 1.0, 0), (4, 0.4, 3.5, 2)],
+     (3, 0.5, 1.0, 0), (4, 0.4, 3.5, 2), (3, 0.5, 2e3 / math.pi, 0)],
 )
-def test_search_takes_few_symbol_evaluations(monkeypatch, n, gamma, kappa, mode):
-    # Safeguarded Newton takes 7-10 evaluations on these 13-root searches;
-    # bisection down to adjacent floats alone needs over 50.
-    calls = []
+def test_search_takes_few_symbol_evaluations(cold, monkeypatch, n, gamma, kappa, mode):
+    # Safeguarded Newton takes 7-10 evaluations on the first six 13-root
+    # searches, the read of Theta_m(0) included; bisection down to adjacent
+    # floats alone needs over 50.  At 1e3 Theta_0(0) = 2e3/pi the root of
+    # window 1 sits next to its pole end and the search mostly bisects: 29.
+    seen = []
     for name in ("_values", "_values_and_slopes"):
         inner = getattr(indicial, name)
-        monkeypatch.setattr(indicial, name, lambda *a, f=inner: calls.append(1) or f(*a))
+
+        def counted(params, mode, along, x, f=inner):
+            seen.append(np.broadcast_arrays(along, x))
+            return f(params, mode, along, x)
+
+        monkeypatch.setattr(indicial, name, counted)
     params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
+    roots = find_roots(params, mode, count=13)
+    assert len(roots) == 13 and len(seen) <= (29 if kappa > 100.0 else 16)
+    # Past the read of Theta_m(0), every axis point lies strictly inside a
+    # window: no symbol evaluation lands on a pole or a zero end.
+    axis = np.concatenate([x[along == 1j] for along, x in seen])
+    assert axis[0] == 0.0
     a, b = mode_constants(params, mode)
-    lam = complex(theta(params, mode, 0.0)).real
-    first = indicial._REAL_PAIR if kappa > lam else indicial._first_axis(b)
-    specs = [first] + [indicial._window(a, b, j) for j in range(1, 13)]
-    x = indicial._solve(params, mode, kappa, specs)
-    assert len(x) == 13 and len(calls) <= 16
+    j = np.arange(14)
+    lo = np.where(j > 0, 2.0 * a + 2.0 * (j - 1), 0.0)
+    hi = 2.0 * b + 2.0 * j
+    x = axis[1:, None]
+    assert np.all(np.any((lo < x) & (x < hi), axis=1))
+
+
+@pytest.mark.parametrize("rel", [1e-15, 1e-300])
+@pytest.mark.parametrize("n, gamma, mode", [(3, 0.5, 0), (2, 0.95, 0), (4, 0.3, 2)])
+def test_tiny_positive_levels_give_certified_roots(cold, n, gamma, mode, rel):
+    # Each root sits within 1e-13 of its window's zero end, or on it: at
+    # rel = 1e-300 the first root is 2 B_m itself.
+    lam = complex(theta(_params(0.0, n, gamma), mode, 0.0)).real
+    params = _params(rel * lam, n, gamma)
+    roots = find_roots(params, mode, count=3)
+    a, b = mode_constants(params, mode)
+    assert 0.0 < roots[0].sigma <= 2.0 * b
+    for j, r in enumerate(roots):
+        assert r.tau == 0.0 and r.index == j
+        if j >= 1:
+            assert 2.0 * a + 2.0 * (j - 1) < r.sigma <= 2.0 * b + 2.0 * j
+        tol = max(
+            indicial.ROOT_RESIDUAL_TOL * max(1.0, abs(r.z) ** (2.0 * gamma)),
+            2.0 * abs(theta_derivative(params, mode, r.z)) * np.spacing(abs(r.z)),
+        )
+        assert abs(complex(theta(params, mode, r.z)) - params.kappa) <= tol
 
 
 @pytest.fixture
