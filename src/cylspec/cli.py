@@ -23,7 +23,7 @@ from .errors import CylspecError, ThresholdError, ValidationError
 from .greens import build_greens, solve_convolution
 from .grid import DEFAULT_STEP, DEFAULT_T_MAX, GridFunction, write_csv
 from .grid import FLOAT_FORMAT as _FMT
-from .identities import _defect, pohozaev_check, wronskian
+from .identities import pohozaev_check, wronskian, wronskian_defect
 from .indicial import find_roots
 from .nonlinear import solve_profile
 from .profiles import bubble, bubble_residual, cylinder_constant, frobenius_fit
@@ -178,7 +178,7 @@ def _job_wronskian(cfg):
     w = solve_convolution(series, h)
     w_tilde = solve_convolution(series, h_tilde)
     tr = wronskian(series, w, w_tilde, h, h_tilde)
-    defect = _defect(tr, w, w_tilde, h, h_tilde)
+    defect = wronskian_defect(series, w, w_tilde, h, h_tilde)
     report = {
         "wronskian_sup": float(np.max(np.abs(tr.samples))),
         "defect_sup": float(np.max(np.abs(defect.samples))),

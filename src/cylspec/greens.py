@@ -22,6 +22,13 @@ series against direct oscillatory quadrature of the Fourier integral,
 and the one-shot FFT convolution against the per-root
 variation-of-constants sweeps, reassembled.  Tests hold them against
 each other.
+
+Two memos let one source pair be swept once: the components of
+:func:`component_solutions` on ``(series, source)``, and the sampled
+kernel of :func:`solve_convolution` on ``(series, n, step)``, each a
+``functools.lru_cache`` of 2 entries holding read-only values.  The
+series is keyed by value and the source by identity, since a
+:class:`~cylspec.grid.GridFunction` is immutable and hashes by identity.
 """
 
 from __future__ import annotations
@@ -240,9 +247,16 @@ def solve_convolution(greens, h):
         im = solve_convolution(greens, h.with_samples(h.samples.imag))
         return h.with_samples(re.samples + 1j * im.samples)
     n = h.n_points
-    kernel = greens((np.arange(2 * n - 1) - (n - 1)) * h.step)
-    full = fftconvolve(kernel, h.samples * trapezoid_weights(n))
+    full = fftconvolve(_kernel(greens, n, h.step), h.samples * trapezoid_weights(n))
     return h.with_samples(full[n - 1 : 2 * n - 1] * h.step)
+
+
+@functools.lru_cache(maxsize=2)
+def _kernel(greens, n, step):
+    """The series on the lags ``-(n-1) .. n-1`` of spacing ``step``, read-only."""
+    kernel = greens((np.arange(2 * n - 1) - (n - 1)) * step)
+    kernel.flags.writeable = False
+    return kernel
 
 
 _BLOCK = 32  # lattice points per block of the sweeps
@@ -301,7 +315,21 @@ def component_solutions(greens, h):
     summed to the right), not to the peak.  All roots sweep together, in
     numpy alone, in float64 for a real source.  The source must decay to
     1e-10 of its peak at the window's ends.
+
+    Memoized on ``(greens, h)`` for the last 2 pairs, so the solves and
+    the Wronskian of one source pair sweep each source once; every call
+    returns a new list of the shared read-only components.
     """
+    return list(_components(greens, h))
+
+
+@functools.lru_cache(maxsize=2)
+def _components(greens, h):
+    return tuple(_sweep(greens, h))
+
+
+def _sweep(greens, h):
+    """The components of :func:`component_solutions`, computed afresh."""
     h.require_decay()
     u = h.samples * (h.step * trapezoid_weights(h.n_points))
     roots = greens.roots

@@ -153,11 +153,16 @@ def write_csv(fh, header, rows, metadata=None):
     writer.writerows(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Read-only samples on ``t_min + step * k``: float64 when no imaginary
     part is nonzero (complex input with every imaginary part +-0 too),
-    complex128 otherwise.  Real-only computations call :meth:`require_real`."""
+    complex128 otherwise.  Real-only computations call :meth:`require_real`.
+
+    Equality and hashing go by identity: ``g == h`` is ``g is h``, so two
+    distinct objects with the same samples compare unequal, and ``hash(g)``
+    works, which lets a memo key on a source.  Compare values with
+    ``np.array_equal(g.samples, h.samples)``."""
 
     t_min: float
     t_max: float

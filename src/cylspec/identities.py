@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecayHypothesisError, ValidationError
-from .greens import GreensSeries, build_greens, component_solutions
+from .greens import GreensSeries, _sweep, build_greens, component_solutions
 from .grid import GridFunction, tail_rate, trapezoid
 from .symbol import CylinderParams
 
@@ -73,12 +73,6 @@ def wronskian(
     return w.with_samples(acc)
 
 
-def _defect(tr, w, w_tilde, h, h_tilde):
-    """Pointwise defect dW/dt + 2(h_tilde w - h w_tilde) of the Wronskian ``tr``."""
-    drive = 2.0 * (h_tilde.samples * w.samples - h.samples * w_tilde.samples)
-    return w.with_samples(np.gradient(tr.samples, w.step) + drive)
-
-
 def wronskian_defect(
     series: GreensSeries,
     w: GridFunction,
@@ -87,7 +81,9 @@ def wronskian_defect(
     h_tilde: GridFunction,
 ) -> GridFunction:
     """Pointwise defect dW/dt + 2(h_tilde w - h w_tilde); O(step^2) small."""
-    return _defect(wronskian(series, w, w_tilde, h, h_tilde), w, w_tilde, h, h_tilde)
+    tr = wronskian(series, w, w_tilde, h, h_tilde)
+    drive = 2.0 * (h_tilde.samples * w.samples - h.samples * w_tilde.samples)
+    return w.with_samples(np.gradient(tr.samples, w.step) + drive)
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def pohozaev_check(
     step = solution.step
     h = solution.with_samples(np.sign(w) * np.abs(w) ** p)
     grad_sum = mass_sum = 0.0
-    comps = component_solutions(series, h)
+    comps = _sweep(series, h)  # h is new to this call: a memo entry could never be hit
     for c, sigma, comp in zip(series.coefficients, series.decay_exponents, comps):
         vals = comp.samples
         dvals = np.gradient(vals, step)

@@ -2,15 +2,22 @@
 
 import pytest
 
-from cylspec import indicial, nonlinear, symbol
+from cylspec import greens, indicial, nonlinear, symbol
 
 # Every memo in the package keyed on its arguments: the certified roots
 # per (params, mode), the lattice symbol per (n, gamma, mode, lattice
-# size, step), and the profile solver's operator and preconditioner per
-# (params, n, step).
+# size, step), the profile solver's operator and preconditioner per
+# (params, n, step), and the Green's series' components per (series,
+# source) and its sampled convolution kernel per (series, n, step).
 # (``greens._gauss_nodes`` is a fixed table.)  A new memo is registered
 # here, so that ``cold`` empties it too; ``test_memos.py`` checks that.
-MEMOS = (indicial._memo, symbol._lattice, nonlinear._operator)
+MEMOS = (
+    indicial._memo,
+    symbol._lattice,
+    nonlinear._operator,
+    greens._components,
+    greens._kernel,
+)
 
 
 def clear_memos():

@@ -268,19 +268,20 @@ def test_wronskian_rejects_a_wide_source_before_solving(tmp_path, capsys, monkey
     assert doc["error"] == "WindowError" and "above 1.0e-10" in doc["message"]
 
 
-def test_wronskian_job_sweeps_each_source_once(tmp_path, capsys, monkeypatch):
-    # The job's defect reuses the Wronskian it reports: one component
-    # sweep per source, not a second pair inside wronskian_defect.
+def test_wronskian_job_sweeps_each_source_once(tmp_path, capsys, monkeypatch, cold):
+    # The job's defect recomputes the Wronskian it reports from the
+    # memoized components: one component sweep per source, not a second
+    # pair inside wronskian_defect.
     GridFunction.from_callable(lambda t: np.exp(-((t - 1.0) ** 2))).to_csv(tmp_path / "h.csv")
     GridFunction.from_callable(lambda t: np.exp(-(t**2) / 2.0)).to_csv(tmp_path / "h2.csv")
     calls = []
-    sweep = cylspec.identities.component_solutions
+    sweep = cylspec.greens._sweep
 
     def counted(*args):
         calls.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr("cylspec.identities.component_solutions", counted)
+    monkeypatch.setattr("cylspec.greens._sweep", counted)
     code, _ = _run(
         capsys,
         ["wronskian", "--n", "3", "--gamma", "0.5", "--kappa", "0.3",

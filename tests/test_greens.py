@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+from conftest import clear_memos
+from cylspec import greens
 from cylspec.errors import (
     DecayHypothesisError,
     DomainError,
@@ -23,6 +25,7 @@ from cylspec.greens import (
     solve_ode_system,
 )
 from cylspec.grid import GridFunction, trapezoid, trapezoid_weights
+from cylspec.identities import pohozaev_check, wronskian, wronskian_defect
 from cylspec.indicial import find_roots
 from cylspec.symbol import CylinderParams, mode_constants, theta
 
@@ -356,6 +359,101 @@ def test_component_sweep_matches_fft_route_on_prime_lattice():
                 kernel = np.exp(-complex(root.sigma, root.tau) * np.abs(lag))
             want = fftconvolve(kernel, u)[n - 1 : 2 * n - 1] * h.step
             assert np.max(np.abs(got.samples - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _real_pair(step=2.0**-7):
+    h = GridFunction.from_callable(lambda t: np.exp(-0.5 * (t - 1.0) ** 2), step=step)
+    h2 = GridFunction.from_callable(lambda t: np.exp(-0.8 * (t + 0.5) ** 2) * np.cos(t), step=step)
+    return h, h2
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    sweep = greens._sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(greens, "_sweep", counted)
+    return calls
+
+
+def test_source_pair_is_swept_once(cold, monkeypatch):
+    # The solves, the Wronskian and its defect on one source pair share
+    # one sweep per source, and both convolutions one sampled kernel.
+    calls = _count_sweeps(monkeypatch)
+    series = build_greens(P03, 0, truncation=12)
+    h, h2 = _real_pair()
+    w, w2 = solve_ode_system(series, h), solve_ode_system(series, h2)
+    wronskian(series, w, w2, h, h2)
+    wronskian_defect(series, w, w2, h, h2)
+    assert [args[1] for args in calls] == [h, h2]
+    solve_convolution(series, h)
+    solve_convolution(series, h2)
+    assert greens._kernel.cache_info().misses == 1
+
+
+def test_memoized_components_are_fresh_lists_of_read_only_values(cold):
+    series = build_greens(P03, 0, truncation=12)
+    h, _ = _real_pair()
+    first = component_solutions(series, h)
+    again = component_solutions(series, h)
+    assert again is not first and again == first  # the same shared components
+    first.clear()
+    assert len(component_solutions(series, h)) == 13
+    kernel = greens._kernel(series, h.n_points, h.step)
+    for comp in again:
+        with pytest.raises(ValueError):
+            comp.samples[0] = 1.0
+    with pytest.raises(ValueError):
+        kernel[0] = 1.0
+    by_kernel = solve_convolution(series, h)
+    clear_memos()
+    for warm, cold_comp in zip(again, component_solutions(series, h)):
+        assert np.array_equal(warm.samples, cold_comp.samples)
+    assert np.array_equal(greens._kernel(series, h.n_points, h.step), kernel)
+    assert np.array_equal(solve_convolution(series, h).samples, by_kernel.samples)
+
+
+def test_green_memos_are_bounded(cold):
+    series = build_greens(P03, 0, truncation=4)
+    for step in (0.25, 0.125, 2.0**-4, 2.0**-5, 2.0**-6):
+        h, _ = _real_pair(step)
+        component_solutions(series, h)
+        solve_convolution(series, h)
+    for memo in (greens._components, greens._kernel):
+        assert memo.cache_info().currsize == memo.cache_parameters()["maxsize"] == 2
+
+
+def test_pohozaev_check_leaves_the_components_memo_empty(cold):
+    # Its source is made inside the call, so an entry could never be hit.
+    pohozaev_check(
+        CylinderParams(n=3, gamma=0.5), GridFunction.from_callable(lambda t: 1.0 / np.cosh(t))
+    )
+    info = greens._components.cache_info()
+    assert info.currsize == info.hits == info.misses == 0
+
+
+@pytest.mark.parametrize("params", [P03, P08], ids=["stable", "unstable"])
+def test_memoized_solves_match_cold_ones(cold, params):
+    # A complex source splits into parts made afresh on each call; the
+    # unstable regime's first component is the one-sided sine.
+    series = build_greens(params, 0, truncation=8)
+    real, _ = _real_pair()
+    source = real.with_samples(real.samples * (1.0 + 0.5j))
+
+    def run():
+        comps = component_solutions(series, real) + component_solutions(series, source)
+        solves = solve_ode_system(series, source), solve_convolution(series, source)
+        return [g.samples for g in comps + list(solves)]
+
+    first, warm = run(), run()
+    clear_memos()
+    cold_run = run()
+    assert len(cold_run) == 2 * 9 + 2
+    for got in (first, warm):
+        assert all(np.array_equal(a, b) for a, b in zip(got, cold_run))
 
 
 def test_operator_recovers_rhs():

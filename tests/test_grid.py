@@ -54,6 +54,16 @@ def test_samples_are_immutable():
         g.samples[0] = 1.0
 
 
+def test_equality_and_hash_go_by_identity():
+    # Equal samples on one lattice are still two objects: == is identity
+    # (it used to raise on comparing the sample arrays), and hash() works.
+    g, h = _gaussian(), _gaussian()
+    assert np.array_equal(g.samples, h.samples)
+    assert g == g and not g == h and g != h
+    assert hash(g) == hash(g) and len({g, h, g}) == 2
+    assert g.with_samples(g.samples) != g
+
+
 def test_decay_check():
     _gaussian().require_decay(1e-10)
     narrow = GridFunction.from_callable(

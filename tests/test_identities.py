@@ -11,7 +11,12 @@ from cylspec.errors import (
     GridMismatchError,
     ValidationError,
 )
-from cylspec.greens import build_greens, component_solutions, solve_convolution
+from cylspec.greens import (
+    build_greens,
+    component_solutions,
+    solve_convolution,
+    solve_ode_system,
+)
 from cylspec.grid import GridFunction
 from cylspec.identities import pohozaev_check, wronskian, wronskian_defect
 from cylspec.profiles import bubble, cylinder_constant
@@ -91,6 +96,27 @@ def test_derivative_identity_second_order():
             sups[step] = np.max(np.abs(defect.samples.real[2:-2]))
         ratio = sups[2.0**-7] / sups[2.0**-8]
         assert 2.8 <= ratio <= 6.0
+
+
+@pytest.mark.parametrize(
+    "n, gamma, kappa, mode",
+    [(4, 0.05, 0.1, 0), (2, 0.95, 0.001, 0), (2, 0.95, 0.001, 1), (3, 0.5, 0.3, 4), (5, 0.25, 0.2, 5)],
+)
+def test_edge_wronskian_defect_is_second_order(n, gamma, kappa, mode):
+    # Edge regions: gamma near 0 and 1, n = 2 with kappa just below
+    # Theta_0(0) = 0.0025, and modes 4 and 5.  The defect's sup relative
+    # to its drive 2(h~ w - h w~) falls like step^2: by 4 per halving.
+    series = build_greens(CylinderParams(n=n, gamma=gamma, kappa=kappa), mode, truncation=12)
+    ratios = []
+    for step in (2.0**-5, 2.0**-6, 2.0**-7):
+        h = _grid(lambda t: np.exp(-0.5 * (t - 1.0) ** 2), step=step)
+        ht = _grid(lambda t: np.exp(-0.8 * (t + 0.5) ** 2) * np.cos(t), step=step)
+        w, wt = solve_ode_system(series, h), solve_ode_system(series, ht)
+        defect = wronskian_defect(series, w, wt, h, ht).samples
+        drive = 2.0 * (ht.samples * w.samples - h.samples * wt.samples)
+        ratios.append(np.max(np.abs(defect)) / np.max(np.abs(drive)))
+    for coarse, fine in zip(ratios, ratios[1:]):
+        assert 3.8 <= coarse / fine <= 4.2
 
 
 def test_shared_potential_constancy():
