@@ -367,22 +367,12 @@ def _real_pair(step=2.0**-7):
     return h, h2
 
 
-def _count_sweeps(monkeypatch):
-    calls = []
-    sweep = greens._sweep
-
-    def counted(*args):
-        calls.append(args)
-        return sweep(*args)
-
-    monkeypatch.setattr(greens, "_sweep", counted)
-    return calls
-
-
 def test_source_pair_is_swept_once(cold, monkeypatch):
     # The solves, the Wronskian and its defect on one source pair share
     # one sweep per source, and both convolutions one sampled kernel.
-    calls = _count_sweeps(monkeypatch)
+    calls = []
+    sweep = greens._sweep
+    monkeypatch.setattr(greens, "_sweep", lambda *args: calls.append(args) or sweep(*args))
     series = build_greens(P03, 0, truncation=12)
     h, h2 = _real_pair()
     w, w2 = solve_ode_system(series, h), solve_ode_system(series, h2)
