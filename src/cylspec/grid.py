@@ -9,11 +9,14 @@ unless some imaginary part is nonzero.  Serialization is CSV (columns
 ``t,re,im``, 17 significant digits, bit-exact for binary64 values, LF
 line ends) and JSON with a metadata block.  The lattice's numerics live
 here too, one routine each: Fourier multiplier, FFT convolution,
-trapezoid rule and tail decay-rate fit.  The multiplier runs ``scipy.fft``'s
-real transforms on the half spectrum of :func:`~cylspec.symbol.theta_lattice`,
-in two forms: :func:`multiply`, exact, for residuals and anything whose
-tails are read, and :func:`real_circulant`, the same operator at a fast
-length but with absolute round-off, for Krylov products only.
+trapezoid rule and tail decay-rate fit.  The multiplier :func:`multiply`
+applies a real, even symbol given as the half spectrum of
+:func:`~cylspec.symbol.theta_lattice`, exactly to a transform's round-off,
+so residuals, Krylov products and anything whose tails are read share
+it.  At an odd prime lattice size it runs Rader's reindexing, two real
+transforms at ``(n - 1)/2`` for an even vector and the odd part's at
+``n - 1``, with the index maps and kernel spectra memoized per size;
+elsewhere ``scipy.fft``'s real transforms at ``n``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,41 +46,124 @@ def angular_frequencies(n, step):
 
 
 def multiply(half, v):
-    """Fourier multiplier ``irfft(rfft(v) * half)`` on the periodized lattice.
+    """Fourier multiplier ``irfft(rfft(v) * half, n)`` on the periodized n-point lattice.
 
     ``half`` holds a real, even symbol on the non-negative frequencies of
     :func:`angular_frequencies`, as :func:`~cylspec.symbol.theta_lattice`
     returns it: a real circulant, so real ``v`` gives a real result and
-    complex ``v`` the products of its two parts.  Residuals use it.
+    complex ``v`` the products of its two parts.  It is the lattice's one
+    multiplier, exact to a transform's round-off, for residuals and
+    Krylov products alike.
+
+    At an odd prime ``n``, where scipy has only Bluestein's algorithm, it
+    reindexes about the centre sample by Rader's map (:func:`_rader_plan`):
+    the even part of ``v`` is one cyclic correlation of length
+    ``(n - 1)/2`` into the spectrum and one back, the odd part the same at
+    length ``n - 1`` and only when some odd entry is nonzero, and an even
+    ``v`` gives a bitwise even result.  At any other ``n`` it runs
+    scipy's real transforms at ``n``.  A complex Hermitian half spectrum
+    (a shifted symbol) would couple the even and odd parts; it is not
+    supported.
     """
     from scipy import fft  # at first use, not at `import cylspec`
 
     if np.iscomplexobj(v):
         return multiply(half, v.real) + 1j * multiply(half, v.imag)
-    return fft.irfft(fft.rfft(v) * half, v.size)
+    n = v.size
+    plan = _rader_plan(n)
+    if plan is None:
+        return fft.irfft(fft.rfft(v) * half, n)
+    at, freq, cos_in, cos_out, sin_in, sin_out = plan
+    m = (n - 1) // 2
+    right, left = v[at[:m]], v[at[m:]]  # v at the centre m plus and minus g^q
+    even = 0.5 * (right + left)
+    # The cosine transform at the frequencies g^-p, times the symbol there.
+    spec = half[freq[:m]] * (v[m] + fft.irfft(fft.rfft(even) * cos_in, m))
+    spec0 = half[0] * (v[m] + 2.0 * np.sum(even))
+    out = np.empty(n)
+    out[m] = (spec0 + 2.0 * np.sum(spec)) / n
+    even_out = (spec0 + fft.irfft(fft.rfft(spec) * cos_out, m)) / n
+    odd = 0.5 * (right - left)
+    if not odd.any():
+        out[at[:m]] = out[at[m:]] = even_out
+        return out
+    # The sine transform, on data odd in q since g^(q + m) = -g^q.
+    spec = half[freq] * fft.irfft(fft.rfft(np.concatenate([odd, -odd])) * sin_in, n - 1)
+    odd_out = fft.irfft(fft.rfft(spec) * sin_out, n - 1)[:m] / n
+    out[at[:m]], out[at[m:]] = even_out + odd_out, even_out - odd_out
+    return out
 
 
-def real_circulant(half, n):
-    """The map ``v -> multiply(half, v)`` for real ``v`` of length ``n``, at a fast length.
+def _prime_factors(k):
+    """The distinct prime factors of ``k >= 1``, ascending."""
+    factors, d = [], 2
+    while d * d <= k:
+        if k % d == 0:
+            factors.append(d)
+            while k % d == 0:
+                k //= d
+        d += 1
+    return factors + [k] if k > 1 else factors
 
-    The same circulant on the same lattice: its kernel ``irfft(half, n)``
-    is laid out on the lags ``-(n-1) .. n-1`` and its ``rfft`` cached at
-    ``next_fast_len(2n - 1, real=True)``, so each apply is one ``rfft``
-    and one ``irfft`` at a 5-smooth length even when ``n`` is prime.
-    Its round-off comes from the kernel, about ``eps * max|half|`` at
-    every lag, and reaches the low frequencies; in a residual it shows
-    as noise in a decaying tail, so it is for Krylov products only.
+
+def _unit_circle(k, n):
+    """``cos`` and ``sin`` of ``2 pi k/n`` for integers ``k``, from angles of at most pi/4.
+
+    The angle is ``pi/(2n)`` times ``4k``, which is split exactly, in
+    integers, into ``q n + r`` with ``|r| <= n/2``; the ``q`` quarter turns
+    are applied by swapping and negating.  Rounding ``2 pi k/n`` itself
+    would put up to eight times as much absolute error in the angle.
+    """
+    four = 4 * k
+    q = (2 * four + n) // (2 * n)
+    angle = math.pi / (2 * n) * (four - q * n)
+    c, s = np.cos(angle), np.sin(angle)
+    q %= 4
+    return np.choose(q, [c, -s, -c, s]), np.choose(q, [s, c, -s, -c])
+
+
+@lru_cache(maxsize=16)
+def _rader_plan(n):
+    """:func:`multiply`'s index maps and kernel spectra at an odd prime ``n``, else ``None``.
+
+    With ``g`` the least primitive root mod ``n`` and ``m = (n - 1)/2``,
+    the nonzero offsets from the centre sample ``m`` are ``+-g^q``,
+    ``0 <= q < m`` (``g^m = -1``), and ``cos(2 pi g^q g^-p / n)`` depends on
+    ``q - p`` only.  So the even part's transform ``sum_k e_k cos(2 pi jk/n)``
+    is a cyclic correlation of length ``m`` with the kernel
+    ``2 cos(2 pi g^q/n)``, and the way back the matching convolution; the
+    odd part's sine transform is the same with ``sin(2 pi g^q/n)`` at
+    length ``n - 1``, a negacyclic correlation of length ``m`` on data
+    odd in ``q``.  Returns the lattice index of the offset ``g^q``
+    (``q < n - 1``), the half-spectrum bin of the frequency ``g^-p``, and
+    each kernel's spectrum, conjugated for the correlation and plain for
+    the convolution, all read-only.  Memoized per ``n``.
     """
     from scipy import fft
 
-    m = fft.next_fast_len(2 * n - 1, real=True)
-    kernel = fft.irfft(half, n)  # lag k sits at k, lag -k at m - k
-    spectrum = fft.rfft(np.concatenate([kernel, np.zeros(m - 2 * n + 1), kernel[1:]]))
-
-    def apply(v):
-        return fft.irfft(fft.rfft(v, m) * spectrum, m)[:n]
-
-    return apply
+    if n < 3 or _prime_factors(n) != [n]:
+        return None
+    factors = _prime_factors(n - 1)
+    g = next(g for g in range(2, n) if all(pow(g, (n - 1) // f, n) != 1 for f in factors))
+    powers = np.ones(1, dtype=np.int64)
+    while powers.size < n - 1:
+        powers = np.concatenate([powers, powers * pow(g, powers.size, n) % n])
+    powers = powers[: n - 1]  # g^q mod n
+    m = (n - 1) // 2
+    inverse = powers[-np.arange(n - 1)]  # g^-p mod n
+    cos, sin = _unit_circle(powers, n)
+    cos_spec, sin_spec = fft.rfft(2.0 * cos[:m]), fft.rfft(sin)
+    plan = (
+        (m + powers) % n,
+        np.minimum(inverse, n - inverse),
+        cos_spec.conj(),
+        cos_spec,
+        sin_spec.conj(),
+        sin_spec,
+    )
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def fftconvolve(a, b):

@@ -14,6 +14,7 @@ Derivatives are centered differences (``np.gradient``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +45,7 @@ def _check_consistency(series, w, h, label):
     return comps
 
 
+@lru_cache(maxsize=1)
 def wronskian(
     series: GreensSeries,
     w: GridFunction,
@@ -57,7 +59,10 @@ def wronskian(
     terms, forms w_j * w~_j' - w_j' * w~_j with centered differences,
     and sums with weights c_j / sigma_j.  The inputs w and w_tilde must
     be the series solutions of the real sources h and h_tilde on the
-    same grid.
+    same grid.  The last result is memoized on ``(series, w, w_tilde, h,
+    h_tilde)``, the series by value and each grid by identity, so
+    :func:`wronskian_defect` after ``wronskian`` on the same arguments
+    reuses it; the result is a read-only :class:`GridFunction`.
     """
     w.require_same_grid(w_tilde)
     w.require_same_grid(h)

@@ -20,12 +20,14 @@ failed solve.  Parity of an even initial guess is enforced on every
 iterate, which also keeps the translation direction out of the
 linearization's way.
 
-The Newton residual, which defines the solution and its tail, uses the
-exact multiplier :func:`grid.multiply`.  ``P`` only steers the step, so
-it is :func:`grid.real_circulant`, the same circulant at a fast length.
-Its round-off, about ``eps * max|symbol|`` in the kernel and reaching
-the low frequencies, is harmless in a Krylov product, but in the
-residual it would leave noise in the decaying tails.
+The Newton residual, which defines the solution and its tail, and ``P``
+both run the one exact multiplier :func:`grid.multiply`, on the half
+spectra ``Theta_0 - kappa`` and ``1/(Theta_0 - kappa)``.  A multiplier
+whose round-off reached the low frequencies, as a fast-length circulant
+built on the sampled kernel does, would leave noise in the decaying
+tails that the tail-rate checks read.  In a symmetric solve every vector
+``P`` acts on is made exactly even, so each product runs only the even
+part's transforms.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergenceError, NegativityError, ValidationError
-from .grid import GridFunction, multiply, real_circulant
+from .grid import GridFunction, multiply
 from .symbol import CylinderParams, theta_lattice
 
 __all__ = ["NewtonStep", "SolveReport", "solve_profile"]
@@ -108,10 +110,11 @@ def _failure(cls, message, history):
 
 @lru_cache(maxsize=16)
 def _operator(params, n, step):
-    """``Theta_0 - kappa`` on the lattice, read-only, and ``P``'s circulant, memoized."""
+    """Half spectra ``Theta_0 - kappa`` and ``P``'s ``1/(Theta_0 - kappa)``, read-only, memoized."""
     sym_vals = theta_lattice(params, 0, n, step) - params.kappa
-    sym_vals.flags.writeable = False
-    return sym_vals, real_circulant(1.0 / sym_vals, n)
+    inv_vals = 1.0 / sym_vals
+    sym_vals.flags.writeable = inv_vals.flags.writeable = False
+    return sym_vals, inv_vals
 
 
 def solve_profile(
@@ -133,8 +136,10 @@ def solve_profile(
     with the trivial flag set.
 
     Each step is ``P y`` for the GMRES solution of ``(I - p w^(p-1) P) y = r``,
-    ``P = (Theta_0 - kappa)^(-1)`` being one fast-length circulant built
-    once per parameters and lattice and shared by later solves, and GMRES
+    ``P = (Theta_0 - kappa)^(-1)`` being one :func:`grid.multiply` product
+    on a half spectrum built once per parameters and lattice and shared
+    by later solves; the step reuses the ``P y`` of GMRES's closing
+    true-residual product when that ran on the same ``y``.  GMRES
     stops at ``FORCING * r * min(r, 1)`` for the step's sup residual
     ``r``, or at ``GMRES_FLOOR * tolerance`` if larger.
     ``P`` is bounded for every accepted ``0 <= kappa < Lambda``:
@@ -170,14 +175,18 @@ def solve_profile(
 
     even_grid = abs(initial_guess.t_min + initial_guess.t_max) <= 1e-12
     symmetric = even_grid and float(np.max(np.abs(w - w[::-1]))) <= 1e-10 * peak0
-    if symmetric:
-        w = 0.5 * (w + w[::-1])
+
+    def parity(v):
+        """A new array: the even part of ``v`` in a symmetric solve, else a copy of ``v``."""
+        return 0.5 * (v + v[::-1]) if symmetric else v.copy()
+
+    w = parity(w)
 
     from scipy.sparse.linalg import LinearOperator
 
     p = params.p
     n = w.size
-    sym_vals, inverse = _operator(params, n, initial_guess.step)
+    sym_vals, inv_vals = _operator(params, n, initial_guess.step)
 
     def residual(v):
         return multiply(sym_vals, v) - _odd_power(v, p)
@@ -195,7 +204,17 @@ def solve_profile(
         step = len(history) + 1
         pot = p * np.abs(w) ** (p - 1.0)
 
-        op = LinearOperator((n, n), matvec=lambda y: y - pot * inverse(y), dtype=np.float64)
+        last = [None, None]  # the last product's y and P y
+
+        def matvec(y):
+            # GMRES updates its solution by a BLAS product, which keeps it
+            # even only up to round-off; an exactly even y keeps P's
+            # product to its even part.
+            y = parity(y)
+            last[:] = y, multiply(inv_vals, y)
+            return y - pot * last[1]
+
+        op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
         krylov = []
         atol = max(GMRES_FLOOR * tolerance, FORCING * rnorm * min(rnorm, 1.0))
         y, info = gmres(
@@ -211,12 +230,13 @@ def solve_profile(
                 history,
             )
 
-        delta = inverse(y)
+        # GMRES ends on the true residual of the y it returns, so P y is
+        # usually the last product's.
+        y = parity(y)
+        delta = last[1] if np.array_equal(y, last[0]) else multiply(inv_vals, y)
         alpha, accepted, neg_left = 1.0, False, NEGATIVITY_RETRIES
         for _ in range(MAX_HALVINGS + 1):
-            cand = w - alpha * delta
-            if symmetric:
-                cand = 0.5 * (cand + cand[::-1])
+            cand = parity(w - alpha * delta)
             scale = max(float(np.max(np.abs(cand))), 1e-300)
             if float(np.min(cand)) < -1e-8 * scale:
                 if neg_left == 0:

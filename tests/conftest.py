@@ -2,21 +2,25 @@
 
 import pytest
 
-from cylspec import greens, indicial, nonlinear, symbol
+from cylspec import greens, grid, identities, indicial, nonlinear, symbol
 
 # Every memo in the package keyed on its arguments: the certified roots
 # per (params, mode), the lattice symbol per (n, gamma, mode, lattice
-# size, step), the profile solver's operator and preconditioner per
-# (params, n, step), and the Green's series' components per (series,
-# source) and its sampled convolution kernel per (series, n, step).
-# (``greens._gauss_nodes`` is a fixed table.)  A new memo is registered
-# here, so that ``cold`` empties it too; ``test_memos.py`` checks that.
+# size, step), the multiplier's Rader plan per lattice size, the profile
+# solver's two half spectra per (params, n, step), the Green's series'
+# components per (series, source) and its sampled convolution kernel
+# per (series, n, step), and the weighted Wronskian per (series, w,
+# w_tilde, h, h_tilde).  (``greens._gauss_nodes`` is a fixed table.)  A
+# new memo is registered here, so that ``cold`` empties it too;
+# ``test_memos.py`` checks that.
 MEMOS = (
     indicial._memo,
     symbol._lattice,
+    grid._rader_plan,
     nonlinear._operator,
     greens._components,
     greens._kernel,
+    identities.wronskian,
 )
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve as scipy_fftconvolve
@@ -19,11 +20,11 @@ from cylspec.greens import (
     solve_convolution,
     solve_ode_system,
 )
+from cylspec import grid
 from cylspec.grid import (
     GridFunction,
     fftconvolve,
     multiply,
-    real_circulant,
     tail_mask,
     tail_rate,
     trapezoid,
@@ -148,16 +149,81 @@ def test_multiply_matches_complex_transform(n, dtype):
     assert np.max(np.abs(got - want)) <= 8.0 * scale
 
 
-@pytest.mark.parametrize("n", [7, 481, 7680, 7681])
-def test_real_circulant_matches_multiply(n):
+def _dft_multiply(half, v):
+    """``multiply(half, v)`` at odd ``n``: the mirrored symbol's circulant, by a 30-digit DFT."""
+    n = v.size
+    with mpmath.workdps(30):
+        cos = [mpmath.cospi(mpmath.mpf(2 * j) / n) for j in range(n)]
+        sym = [mpmath.mpf(float(s)) for s in half]
+        kernel = [
+            (sym[0] + 2 * mpmath.fdot(sym[1:], [cos[j * k % n] for k in range(1, n // 2 + 1)])) / n
+            for j in range(n)
+        ]
+        out = []
+        for part in (v.real, v.imag):
+            vals = [mpmath.mpf(float(x)) for x in part]
+            out.append([float(mpmath.fdot(vals, kernel[j::-1] + kernel[:j:-1])) for j in range(n)])
+    return np.array(out[0]) + 1j * np.array(out[1])
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 13, 61, 241, 9, 121, 481])
+def test_multiply_matches_a_30_digit_dft(n):
+    # At the primes Rader's reindexing, at 9, 121 and 481 scipy's real
+    # transforms: both within a few round-offs of the exact product, on
+    # even, asymmetric and complex data.
     rng = np.random.default_rng(n)
-    symbol = theta_lattice(CylinderParams(n=4, gamma=0.75), 0, n, 2.0**-7)
+    half = theta_lattice(CylinderParams(n=4, gamma=0.75), 0, n, 2.0**-7)
     v = rng.standard_normal(n)
-    for half in (symbol, rng.standard_normal(n // 2 + 1)):
-        fast = real_circulant(half, n)(v)
-        exact = multiply(half, v)
-        scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(v))
-        assert np.max(np.abs(fast - exact)) <= 8.0 * scale
+    for data in (v + v[::-1], v, v + 1j * rng.standard_normal(n)):
+        got = multiply(half, data)
+        scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(data))
+        assert got.dtype == data.dtype
+        assert np.max(np.abs(got - _dft_multiply(half, data))) <= 4.0 * scale
+
+
+@pytest.mark.parametrize(
+    "dim, gamma, step",
+    [(3, 0.5, 2.0**-7), (4, 0.75, 2.0**-7), (4, 0.75, 2.0**-8), (2, 0.95, 2.0**-8)],
+)
+def test_multiply_round_trip_keeps_decaying_tails(dim, gamma, step):
+    # Round-off that reaches the low frequencies would stay in the
+    # decaying tails, where the tail-rate checks read it: a fast-length
+    # circulant built on the kernel irfft(half, n) read 200 eps to 1.4e7 eps
+    # here, the exact product 2 to 12 eps.
+    v = GridFunction.from_callable(lambda t: np.zeros_like(t), step=step)
+    half = theta_lattice(CylinderParams(n=dim, gamma=gamma), 0, v.n_points, step)
+    for samples in (1.0 / np.cosh(v.t) ** 2, np.exp(-((v.t - 1.0) ** 2))):
+        back = multiply(1.0 / half, multiply(half, samples))
+        assert np.max(np.abs(back - samples)) <= 16.0 * np.finfo(float).eps * np.max(samples)
+
+
+@pytest.mark.parametrize("n", [3, 5, 13, 241, 7681, 15361])
+def test_even_input_gives_bitwise_even_output_at_primes(n):
+    # A symmetric profile solve relies on it: its residuals and Krylov
+    # vectors stay exactly even, so the odd part never runs.
+    half = theta_lattice(CylinderParams(n=3, gamma=0.5), 0, n, 2.0**-7)
+    v = np.random.default_rng(n).standard_normal(n)
+    out = multiply(half, v + v[::-1])
+    assert np.array_equal(out, out[::-1])
+
+
+def test_rader_plan_only_at_odd_primes(cold):
+    assert all(grid._rader_plan(n) is None for n in (1, 2, 9, 121, 481, 7680))
+    at, freq, *spectra = grid._rader_plan(7681)
+    assert sorted(at) == sorted(set(range(7681)) - {3840})  # every offset from the centre once
+    assert np.array_equal(np.unique(freq), np.arange(1, 3841))
+    assert not any(a.flags.writeable for a in (at, freq, *spectra))
+
+
+def test_unit_circle_is_correctly_reduced():
+    # Within an ulp over two whole turns; np.cos(2 pi k/n) is 2.1e-15 off.
+    n = 7681
+    cos, sin = grid._unit_circle(np.arange(2 * n), n)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(30):
+        turns = [mpmath.mpf(2 * k) / n for k in range(2 * n)]
+        assert np.max(np.abs(cos - [float(mpmath.cospi(x)) for x in turns])) <= eps
+        assert np.max(np.abs(sin - [float(mpmath.sinpi(x)) for x in turns])) <= eps
 
 
 def test_tail_mask():

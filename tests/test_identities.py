@@ -17,6 +17,7 @@ from cylspec.greens import (
     solve_convolution,
     solve_ode_system,
 )
+from cylspec import identities
 from cylspec.grid import GridFunction
 from cylspec.identities import pohozaev_check, wronskian, wronskian_defect
 from cylspec.profiles import bubble, cylinder_constant
@@ -173,6 +174,35 @@ def test_shared_potential_constancy():
     total_variation = float(np.sum(np.abs(np.diff(tr))))
     assert total_variation <= 1e-5 * scale
     assert float(np.max(np.abs(tr))) <= 1e-4 * scale
+
+
+def test_defect_reuses_the_wronskian(cold, monkeypatch):
+    # The defect after the Wronskian on the same arguments reassembles no
+    # component; the memo keys each grid by identity and holds one entry.
+    series = build_greens(P03, 0, truncation=8)
+    h = _grid(lambda t: np.exp(-0.5 * (t - 1.0) ** 2))
+    ht = _grid(lambda t: np.exp(-0.8 * (t + 0.5) ** 2) * np.cos(t))
+    w, wt = solve_convolution(series, h), solve_convolution(series, ht)
+    calls = []
+    components = identities.component_solutions
+
+    def counted(*args):
+        calls.append(args)
+        return components(*args)
+
+    monkeypatch.setattr(identities, "component_solutions", counted)
+    tr = wronskian(series, w, wt, h, ht)
+    defect = wronskian_defect(series, w, wt, h, ht)
+    assert len(calls) == 2
+    assert wronskian(series, w, wt, h, ht) is tr
+    with pytest.raises(ValueError):
+        tr.samples[0] = 1.0
+    copy = w.with_samples(w.samples)
+    assert np.array_equal(wronskian(series, copy, wt, h, ht).samples, tr.samples)
+    assert len(calls) == 4
+    wronskian.cache_clear()
+    assert np.array_equal(wronskian_defect(series, w, wt, h, ht).samples, defect.samples)
+    assert wronskian.cache_info().currsize == 1
 
 
 def test_grid_and_consistency_guards():

@@ -198,36 +198,47 @@ def test_right_preconditioning_closes_the_grid_gap(eps, f):
 
 @pytest.mark.parametrize("n, gamma, kappa", [(3, 0.5, 0.3), (4, 0.75, 0.0)])
 def test_one_circulant_per_krylov_iteration(cold, monkeypatch, n, gamma, kappa):
-    # The circulant runs its real transforms at its fast length, the exact
-    # residual at the lattice's own.  From a cold start: one circulant
-    # transform per Krylov product, one for each Newton step's
-    # true-residual check and one for its step ``delta = P y``, and one
-    # for the circulant's kernel; two circulants per product would double
-    # it.  A warm repeat takes the kernel's transform from the memo.
+    # ``P`` is the circulant of one multiplier product.  At the prime
+    # lattice size the multiplier runs two real transforms at (n - 1)/2
+    # on an even vector and the odd part's at n - 1; every iterate of a
+    # symmetric solve is exactly even, so the only transform at n - 1 is
+    # the odd kernel's, built with the even one from a cold start.  One
+    # ``P`` per Krylov product and one for each Newton step's
+    # true-residual check, whose ``P y`` is the step itself; two ``P``
+    # per product, or a separate step product, would add to it.  A warm
+    # repeat takes both kernels from the memo.
     calls = Counter()
-    rfft = scipy.fft.rfft
+    halves = []
+    rfft, multiply = scipy.fft.rfft, cylspec.nonlinear.multiply
 
     def counted(x, n=None, *args, **kwargs):
         calls[x.shape[-1] if n is None else n] += 1
         return rfft(x, n, *args, **kwargs)
 
+    def spy(half, v):
+        halves.append(half)
+        return multiply(half, v)
+
     params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
     guess = _perturbed_bubble(params, 0.13, 0.75)
     monkeypatch.setattr(scipy.fft, "rfft", counted)
+    monkeypatch.setattr(cylspec.nonlinear, "multiply", spy)
     report = solve_profile(params, guess)
     assert report.converged
     size = guess.samples.size
-    fast = scipy.fft.next_fast_len(2 * size - 1, real=True)
-    assert set(calls) == {size, fast}
+    m = (size - 1) // 2
+    sym_vals, inv_vals = cylspec.nonlinear._operator(params, size, guess.step)
     krylov = sum(h.gmres_iterations for h in report.history)
-    assert krylov + 1 <= calls[fast] <= krylov + 2 * report.iterations + 1
+    assert sum(h is inv_vals for h in halves) == krylov + report.iterations
     # the initial residual and at least one trial per Newton step
-    assert calls[size] >= report.iterations + 1
+    assert sum(h is sym_vals for h in halves) >= report.iterations + 1
+    assert all(h is inv_vals or h is sym_vals for h in halves)
+    assert calls == {m: 2 * len(halves) + 1, size - 1: 1}
     cold_calls = calls.copy()
     calls.clear()
+    halves.clear()
     assert solve_profile(params, guess).history == report.history
-    assert calls[fast] == cold_calls[fast] - 1
-    assert calls[size] == cold_calls[size]
+    assert calls == {m: cold_calls[m] - 1}
 
 
 def test_warm_solve_reuses_the_lattice_operator(cold, monkeypatch):
