@@ -150,7 +150,8 @@ def test_multiply_matches_complex_transform(n, dtype):
 
 
 def _dft_multiply(half, v):
-    """``multiply(half, v)`` at odd ``n``: the mirrored symbol's circulant, by a 30-digit DFT."""
+    """``multiply(half, v)`` at odd ``n``: the mirrored symbol's circulant kernel
+    by a 30-digit DFT, rounded to 2^-100 and applied in integer arithmetic."""
     n = v.size
     with mpmath.workdps(30):
         cos = [mpmath.cospi(mpmath.mpf(2 * j) / n) for j in range(n)]
@@ -159,10 +160,12 @@ def _dft_multiply(half, v):
             (sym[0] + 2 * mpmath.fdot(sym[1:], [cos[j * k % n] for k in range(1, n // 2 + 1)])) / n
             for j in range(n)
         ]
-        out = []
-        for part in (v.real, v.imag):
-            vals = [mpmath.mpf(float(x)) for x in part]
-            out.append([float(mpmath.fdot(vals, kernel[j::-1] + kernel[:j:-1])) for j in range(n)])
+        kernel = [int(mpmath.nint(c * 2**100)) for c in kernel]
+    lags = np.array([kernel[j::-1] + kernel[:j:-1] for j in range(n)], dtype=object)  # j - l
+    out = []
+    for part in (v.real, v.imag):
+        ints = np.array([int(x * 2.0**80) for x in part], dtype=object)  # exact to 2^-80
+        out.append([y / 2**180 for y in lags.dot(ints)])
     return np.array(out[0]) + 1j * np.array(out[1])
 
 
@@ -216,12 +219,12 @@ def test_rader_plan_only_at_odd_primes(cold):
 
 
 def test_unit_circle_is_correctly_reduced():
-    # Within an ulp over two whole turns; np.cos(2 pi k/n) is 2.1e-15 off.
+    # Within an ulp over a whole turn; np.cos(2 pi k/n) is up to 1.0e-15 off.
     n = 7681
-    cos, sin = grid._unit_circle(np.arange(2 * n), n)
+    cos, sin = grid._unit_circle(np.arange(n), n)
     eps = np.finfo(float).eps
     with mpmath.workdps(30):
-        turns = [mpmath.mpf(2 * k) / n for k in range(2 * n)]
+        turns = [mpmath.mpf(2 * k) / n for k in range(n)]
         assert np.max(np.abs(cos - [float(mpmath.cospi(x)) for x in turns])) <= eps
         assert np.max(np.abs(sin - [float(mpmath.sinpi(x)) for x in turns])) <= eps
 

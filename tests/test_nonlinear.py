@@ -200,8 +200,8 @@ def test_right_preconditioning_closes_the_grid_gap(eps, f):
 def test_one_circulant_per_krylov_iteration(cold, monkeypatch, n, gamma, kappa):
     # ``P`` is the circulant of one multiplier product.  At the prime
     # lattice size the multiplier runs two real transforms at (n - 1)/2
-    # on an even vector and the odd part's at n - 1; every iterate of a
-    # symmetric solve is exactly even, so the only transform at n - 1 is
+    # on an even vector and the odd part's at n - 1; a symmetric solve
+    # keeps every vector exactly even, so the only transform at n - 1 is
     # the odd kernel's, built with the even one from a cold start.  One
     # ``P`` per Krylov product and one for each Newton step's
     # true-residual check, whose ``P y`` is the step itself; two ``P``
