@@ -13,10 +13,10 @@ trapezoid rule and tail decay-rate fit.  The multiplier :func:`multiply`
 applies a real, even symbol given as the half spectrum of
 :func:`~cylspec.symbol.theta_lattice`, exactly to a transform's round-off,
 so residuals, Krylov products and anything whose tails are read share
-it.  At an odd prime lattice size it runs Rader's reindexing, two real
-transforms at ``(n - 1)/2`` for an even vector and the odd part's at
-``n - 1``, with the index maps and kernel spectra memoized per size;
-elsewhere ``scipy.fft``'s real transforms at ``n``.
+it.  An even vector is also held as its ``(n + 1)//2`` independent samples
+(:func:`fold`); at an odd prime size, in Rader's order, :func:`multiply_folded`
+runs two real transforms at ``(n - 1)/2`` on them as stored and an odd part
+two at ``n - 1``; elsewhere ``scipy.fft``'s real transforms run at ``n``.
 """
 
 from __future__ import annotations
@@ -55,15 +55,12 @@ def multiply(half, v):
     multiplier, exact to a transform's round-off, for residuals and
     Krylov products alike.
 
-    At an odd prime ``n``, where scipy has only Bluestein's algorithm, it
-    reindexes about the centre sample by Rader's map (:func:`_rader_plan`):
-    the even part of ``v`` is one cyclic correlation of length
-    ``(n - 1)/2`` into the spectrum and one back, the odd part the same at
-    length ``n - 1`` and only when some odd entry is nonzero, and an even
-    ``v`` gives a bitwise even result.  At any other ``n`` it runs
-    scipy's real transforms at ``n``.  A complex Hermitian half spectrum
-    (a shifted symbol) would couple the even and odd parts; it is not
-    supported.
+    At an odd prime ``n``, where scipy has only Bluestein's algorithm, the
+    even part of ``v`` is :func:`multiply_folded` and the odd part, when
+    nonzero, a cyclic correlation of length ``n - 1`` into the spectrum and
+    one back by Rader's map (:func:`_rader_plan`), so an even ``v`` gives a
+    bitwise even result; elsewhere scipy's real transforms at ``n``.  A
+    complex Hermitian half spectrum (a shifted symbol) is not supported.
     """
     from scipy import fft  # at first use, not at `import cylspec`
 
@@ -73,25 +70,59 @@ def multiply(half, v):
     plan = _rader_plan(n)
     if plan is None:
         return fft.irfft(fft.rfft(v) * half, n)
-    at, freq, cos_in, cos_out, sin_in, sin_out = plan
+    at, freq, _, _, sin_in, sin_out = plan
     m = (n - 1) // 2
     right, left = v[at[:m]], v[at[m:]]  # v at the centre m plus and minus g^q
-    even = 0.5 * (right + left)
-    # The cosine transform at the frequencies g^-p, times the symbol there.
-    spec = half[freq[:m]] * (v[m] + fft.irfft(fft.rfft(even) * cos_in, m))
-    spec0 = half[0] * (v[m] + 2.0 * np.sum(even))
-    out = np.empty(n)
-    out[m] = (spec0 + 2.0 * np.sum(spec)) / n
-    even_out = (spec0 + fft.irfft(fft.rfft(spec) * cos_out, m)) / n
+    even = np.concatenate([v[m : m + 1], 0.5 * (right + left)])
+    even = multiply_folded(fold_spectrum(half, n), even, n)
     odd = 0.5 * (right - left)
     if not odd.any():
-        out[at[:m]] = out[at[m:]] = even_out
-        return out
-    # The sine transform, on data odd in q since g^(q + m) = -g^q.
+        return unfold(even, n)
+    # The sine transform at the frequencies g^-p, on data odd in q since g^(q + m) = -g^q.
     spec = half[freq] * fft.irfft(fft.rfft(np.concatenate([odd, -odd])) * sin_in, n - 1)
     odd_out = fft.irfft(fft.rfft(spec) * sin_out, n - 1)[:m] / n
-    out[at[:m]], out[at[m:]] = even_out + odd_out, even_out - odd_out
+    out = unfold(even, n)
+    out[at] += np.concatenate([odd_out, -odd_out])
     return out
+
+
+def fold(v):
+    """The ``(n + 1)//2`` independent samples of an even n-point ``v``: at an odd prime
+    ``n`` the centre ``v[m]``, then ``v[m + g^q]`` for ``q < m`` in Rader's order
+    (:func:`_rader_plan`), elsewhere ``v[n//2:]``.  :func:`unfold` inverts it."""
+    plan, m = _rader_plan(v.size), v.size // 2
+    return v[m:].copy() if plan is None else np.concatenate([v[m : m + 1], v[plan[0][:m]]])
+
+
+def unfold(f, n):
+    """The even n-point vector whose :func:`fold` is ``f``."""
+    plan, out = _rader_plan(n), np.empty(n)
+    if plan is None:
+        return np.concatenate([f[::-1][: n // 2], f])
+    out[n // 2], out[plan[0]] = f[0], np.tile(f[1:], 2)
+    return out
+
+
+def fold_spectrum(half, n):
+    """``half`` in :func:`multiply_folded`'s order: 0, then ``g^-p`` (``p < m``) at prime ``n``."""
+    plan = _rader_plan(n)
+    return half if plan is None else np.concatenate([half[:1], half[plan[1][: n // 2]]])
+
+
+def multiply_folded(half, f, n):
+    """:func:`multiply` on :func:`fold`'s samples ``f`` of an even n-point vector, ``half``
+    in :func:`fold_spectrum`'s order: at a prime ``n`` multiply's even part, a cyclic
+    correlation and a convolution of length ``(n - 1)/2`` on ``f`` as stored."""
+    from scipy import fft
+
+    plan = _rader_plan(n)
+    if plan is None:
+        return fold(multiply(half, unfold(f, n)))
+    cos_in, cos_out, m, even = plan[2], plan[3], n // 2, f[1:]
+    spec = half[1:] * (f[0] + fft.irfft(fft.rfft(even) * cos_in, m))
+    spec0 = half[0] * (f[0] + 2.0 * np.sum(even))
+    back = fft.irfft(fft.rfft(spec) * cos_out, m)
+    return np.concatenate([[spec0 + 2.0 * np.sum(spec)], spec0 + back]) / n
 
 
 def _prime_factors(k):
@@ -328,21 +359,6 @@ class GridFunction:
             raise ValidationError(
                 "samples have a nonzero imaginary part; this computation takes real data"
             )
-
-    # -- arithmetic on a shared lattice ------------------------------------
-
-    def __add__(self, other):
-        self.require_same_grid(other)
-        return self.with_samples(self.samples + other.samples)
-
-    def __sub__(self, other):
-        self.require_same_grid(other)
-        return self.with_samples(self.samples - other.samples)
-
-    def __mul__(self, scalar):
-        return self.with_samples(self.samples * scalar)
-
-    __rmul__ = __mul__
 
     # -- serialization ------------------------------------------------------
 

@@ -16,29 +16,30 @@ quadratic rate (Dembo, Eisenstat & Steihaug, "Inexact Newton methods",
 operator is the identity plus a compact term, and GMRES takes about as
 many iterations on a refined grid as on the default one.  Each Newton
 step is a :class:`NewtonStep` on the report and on the error that ends a
-failed solve.  Parity of an even initial guess is enforced on every
-iterate, which also keeps the translation direction out of the
-linearization's way.
+failed solve.  Guess and solution must decay to :data:`DECAY` of their
+peak at the window's ends; the periodized equation has periodic solutions.
 
 The Newton residual, which defines the solution and its tail, and ``P``
 both run the one exact multiplier :func:`grid.multiply`, on the half
 spectra ``Theta_0 - kappa`` and ``1/(Theta_0 - kappa)``.  A multiplier
 whose round-off reached the low frequencies, as a fast-length circulant
 built on the sampled kernel does, would leave noise in the decaying
-tails that the tail-rate checks read.  In a symmetric solve every vector
-``P`` acts on is made exactly even, so each product runs only the even
-part's transforms.
+tails that the tail-rate checks read.  An even guess on a symmetric window
+is solved exactly even on its ``(n + 1)//2`` independent samples
+(:func:`grid.fold`, :func:`grid.multiply_folded`); with the centre one
+weighted by ``1/sqrt 2`` and ``atol`` divided by ``sqrt 2``, GMRES has the
+full lattice's stop and Krylov spaces and half its Arnoldi basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DivergenceError, NegativityError, ValidationError
-from .grid import GridFunction, multiply
+from .errors import DivergenceError, NegativityError, ValidationError, WindowError
+from .grid import GridFunction, fold, fold_spectrum, multiply, multiply_folded, unfold
 from .symbol import CylinderParams, theta_lattice
 
 __all__ = ["NewtonStep", "SolveReport", "solve_profile"]
@@ -56,6 +57,7 @@ NEGATIVITY_RETRIES = 2
 # the sup norm, so that step still lands below tolerance.
 GMRES_FLOOR = 0.1
 FORCING = 0.1
+DECAY = 1e-6  # the largest end sample of a guess or a solution, relative to its peak
 
 
 def gmres(A, b, **kwargs):
@@ -109,9 +111,11 @@ def _failure(cls, message, history):
 
 
 @lru_cache(maxsize=16)
-def _operator(params, n, step):
-    """Half spectra ``Theta_0 - kappa`` and ``P``'s ``1/(Theta_0 - kappa)``, read-only, memoized."""
+def _operator(params, n, step, folded=False):
+    """Half spectra ``Theta_0 - kappa`` and ``P``'s ``1/(Theta_0 - kappa)``, read-only,
+    memoized; in :func:`grid.fold_spectrum`'s order if ``folded``."""
     sym_vals = theta_lattice(params, 0, n, step) - params.kappa
+    sym_vals = fold_spectrum(sym_vals, n) if folded else sym_vals
     inv_vals = 1.0 / sym_vals
     sym_vals.flags.writeable = inv_vals.flags.writeable = False
     return sym_vals, inv_vals
@@ -133,7 +137,8 @@ def solve_profile(
     flag raises DivergenceError.  Both errors carry the Newton steps
     taken so far, the failing one last, as ``.history``.  A guess that
     is identically zero (or an iterate collapsing to zero) converges
-    with the trivial flag set.
+    with the trivial flag set.  A nontrivial solution above :data:`DECAY`
+    of its peak at the window's ends raises WindowError with ``.history``.
 
     Each step is ``P y`` for the GMRES solution of ``(I - p w^(p-1) P) y = r``,
     ``P = (Theta_0 - kappa)^(-1)`` being one :func:`grid.multiply` product
@@ -171,25 +176,23 @@ def solve_profile(
         )
     if float(np.min(w)) < -1e-10 * peak0:
         raise ValidationError("initial guess must be non-negative")
-    initial_guess.require_decay(1e-6)
+    initial_guess.require_decay(DECAY)
 
     even_grid = abs(initial_guess.t_min + initial_guess.t_max) <= 1e-12
     symmetric = even_grid and float(np.max(np.abs(w - w[::-1]))) <= 1e-10 * peak0
 
-    def parity(v):
-        """A new array: the even part of ``v`` in a symmetric solve, else a copy of ``v``."""
-        return 0.5 * (v + v[::-1]) if symmetric else v.copy()
-
-    w = parity(w)
-
     from scipy.sparse.linalg import LinearOperator
 
-    p = params.p
-    n = w.size
-    sym_vals, inv_vals = _operator(params, n, initial_guess.step)
+    p, n = params.p, w.size
+    sym_vals, inv_vals = _operator(params, n, initial_guess.step, symmetric)
+    product, weight, norm = multiply, np.ones(n), 1.0
+    if symmetric:
+        w = fold(0.5 * (w + w[::-1]))
+        product, weight, norm = partial(multiply_folded, n=n), np.ones(w.size), np.sqrt(2.0)
+        weight[0] = np.sqrt(0.5) if n % 2 else 1.0  # the centre sample
 
     def residual(v):
-        return multiply(sym_vals, v) - _odd_power(v, p)
+        return product(sym_vals, v) - _odd_power(v, p)
 
     r = residual(w)
     rnorm = float(np.max(np.abs(r)))
@@ -206,19 +209,16 @@ def solve_profile(
 
         last = [None, None]  # the last product's y and P y
 
-        def matvec(y):
-            # GMRES updates its solution by a BLAS product, which keeps it
-            # even only up to round-off; an exactly even y keeps P's
-            # product to its even part.
-            y = parity(y)
-            last[:] = y, multiply(inv_vals, y)
-            return y - pot * last[1]
+        def matvec(z):
+            y = z / weight
+            last[:] = y, product(inv_vals, y)
+            return (y - pot * last[1]) * weight
 
-        op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+        op = LinearOperator((w.size, w.size), matvec=matvec, dtype=np.float64)
         krylov = []
         atol = max(GMRES_FLOOR * tolerance, FORCING * rnorm * min(rnorm, 1.0))
-        y, info = gmres(
-            op, r, restart=60, maxiter=300, atol=atol, rtol=1e-10,
+        z, info = gmres(
+            op, r * weight, restart=60, maxiter=300, atol=atol / norm, rtol=1e-10,
             callback=krylov.append, callback_type="pr_norm",
         )
         if info != 0:
@@ -232,11 +232,11 @@ def solve_profile(
 
         # GMRES ends on the true residual of the y it returns, so P y is
         # usually the last product's.
-        y = parity(y)
-        delta = last[1] if np.array_equal(y, last[0]) else multiply(inv_vals, y)
+        y = z / weight
+        delta = last[1] if np.array_equal(y, last[0]) else product(inv_vals, y)
         alpha, accepted, neg_left = 1.0, False, NEGATIVITY_RETRIES
         for _ in range(MAX_HALVINGS + 1):
-            cand = parity(w - alpha * delta)
+            cand = w - alpha * delta
             scale = max(float(np.max(np.abs(cand))), 1e-300)
             if float(np.min(cand)) < -1e-8 * scale:
                 if neg_left == 0:
@@ -260,12 +260,16 @@ def solve_profile(
             )
         w, r, rnorm = cand, rc, rcn
 
-    peak = float(np.max(np.abs(w)))
+    solution = initial_guess.with_samples(unfold(w, n) if symmetric else w)
+    trivial = float(np.max(np.abs(w))) <= 1e-10 * peak0
+    if not trivial and solution.decay_margin() > DECAY:
+        margin = f"{solution.decay_margin():.3e} of its peak at the window's ends"
+        raise _failure(WindowError, f"not a decaying profile: {margin}", history)
     return SolveReport(
-        solution=initial_guess.with_samples(w),
+        solution=solution,
         residual_norm=rnorm,
         iterations=len(history),
         converged=True,
-        trivial=peak <= 1e-10 * peak0,
+        trivial=trivial,
         history=tuple(history),
     )

@@ -312,10 +312,9 @@ def test_real_only_jobs_reject_complex_files(tmp_path, capsys):
     # imaginary column is rejected instead of read as its real part.
     # solve-linear solves a complex source.
     params = CylinderParams(n=3, gamma=0.5)
-    profile = cylinder_constant(params) * GridFunction.from_callable(
-        lambda t: bubble(params, t)
-    )
-    (profile * (1.0 + 1e-3j)).to_csv(tmp_path / "c.csv")
+    profile = GridFunction.from_callable(lambda t: bubble(params, t))
+    profile = profile.with_samples(cylinder_constant(params) * profile.samples)
+    profile.with_samples(profile.samples * (1.0 + 1e-3j)).to_csv(tmp_path / "c.csv")
     path = str(tmp_path / "c.csv")
     base = ["--n", "3", "--gamma", "0.5"]
     for argv in (

@@ -79,12 +79,12 @@ def test_grid_mismatch():
     a = _gaussian(step=0.125)
     b = _gaussian(step=0.25)
     with pytest.raises(GridMismatchError):
-        a + b
+        a.require_same_grid(b)
 
 
 def test_arithmetic_and_trapz():
     g = _gaussian(t_max=12.0, step=0.01)
-    diff = 2.0 * g - g
+    diff = g.with_samples(2.0 * g.samples - g.samples)
     total = trapezoid(diff.samples, diff.step)
     assert abs(total - np.sqrt(np.pi)) < 1e-12  # integral of exp(-t^2)
 
@@ -184,6 +184,72 @@ def test_multiply_matches_a_30_digit_dft(n):
         assert np.max(np.abs(got - _dft_multiply(half, data))) <= 4.0 * scale
 
 
+def _long_double_even_multiply(half, v):
+    """``multiply(half, v)`` on even ``v``, in :func:`grid.fold`'s natural order:
+    the cosine transform there and back as long-double sums, with the cosines
+    of ``2 pi r/n`` from one table."""
+    n, ld = v.size, np.longdouble
+    cos = np.cos(2 * ld("3.14159265358979323846264338327950288") / n * np.arange(n))
+    k = np.arange(n // 2 + 1)
+
+    def transform(x):  # x_0 + 2 sum_k x_k cos(2 pi jk/n), 512 rows at a time
+        x = x * np.where(k == 0, 1, 2).astype(ld)
+        rows = [np.arange(j, min(j + 512, k.size))[:, None] for j in range(0, k.size, 512)]
+        return np.concatenate([(cos[j * k % n] * x).sum(axis=1) for j in rows])
+
+    return transform(half.astype(ld) * transform(v[n // 2 :].astype(ld))) / n
+
+
+@pytest.mark.parametrize("n", [3, 5, 13, 121, 241, 3841, 7681])
+def test_multiply_folded_matches_an_extended_precision_dft(n):
+    # The folded product on the even half lattice: Rader's order at the
+    # primes, the natural one at 121 and 3841.  Up to 241 against the
+    # 30-digit DFT; beyond, where that takes minutes, against long-double
+    # sums, themselves checked against the 30-digit DFT at 241.  (The
+    # 30-digit values are rounded to double, so they differ by up to half
+    # an ulp.)
+    half = theta_lattice(CylinderParams(n=4, gamma=0.75), 0, n, 2.0**-7)
+    v = np.random.default_rng(n).standard_normal(n)
+    v = v + v[::-1]
+    got = grid.unfold(grid.multiply_folded(grid.fold_spectrum(half, n), grid.fold(v), n), n)
+    scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(v))
+    if n <= 241:
+        want = _dft_multiply(half, v).real
+        assert np.max(np.abs(got - want)) <= 4.0 * scale
+    if n >= 241:
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double is no wider than double here")
+        ld = _long_double_even_multiply(half, v)
+        if n == 241:  # within a twentieth of an ulp of the rounded 30-digit values
+            want = want[n // 2 :]
+            assert np.all(np.abs(ld - want) <= 0.55 * np.spacing(np.abs(want)))
+        assert float(np.max(np.abs(got[n // 2 :] - ld))) <= 4.0 * scale
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 13, 121, 241, 3841, 7681, 15361])
+def test_folded_product_is_multiply_on_even_vectors(n):
+    # At the primes multiply's even part is the folded product, so the two
+    # agree bit for bit; elsewhere the folded product is multiply folded.
+    half = theta_lattice(CylinderParams(n=3, gamma=0.5), 0, n, 2.0**-7)
+    v = np.random.default_rng(n).standard_normal(n)
+    v = v + v[::-1]
+    got = grid.unfold(grid.multiply_folded(grid.fold_spectrum(half, n), grid.fold(v), n), n)
+    full = multiply(half, v)
+    assert np.array_equal(got, full if grid._rader_plan(n) else grid.unfold(grid.fold(full), n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 13, 7680, 7681])
+def test_fold_round_trip_is_exact(n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n)
+    v = v + v[::-1]
+    f = grid.fold(v)
+    assert f.size == (n + 1) // 2
+    assert np.array_equal(grid.unfold(f, n), v)
+    f = rng.standard_normal((n + 1) // 2)
+    assert np.array_equal(grid.fold(grid.unfold(f, n)), f)
+
+
 @pytest.mark.parametrize(
     "dim, gamma, step",
     [(3, 0.5, 2.0**-7), (4, 0.75, 2.0**-7), (4, 0.75, 2.0**-8), (2, 0.95, 2.0**-8)],
@@ -268,7 +334,7 @@ def test_tail_rate_oscillating_and_one_signed():
 _DT = 2.0**-5
 _H = GridFunction.from_callable(lambda t: np.exp(-((t - 1.0) ** 2)), -30.0, 30.0, _DT)
 _H2 = GridFunction.from_callable(lambda t: np.exp(-((t + 2.0) ** 2) / 2.0), -30.0, 30.0, _DT)
-_TURNED = _H * (1.0 + 1e-3j)
+_TURNED = _H.with_samples(_H.samples * (1.0 + 1e-3j))
 
 
 def _series(kappa):

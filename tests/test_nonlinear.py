@@ -8,12 +8,12 @@ import scipy.fft
 
 import cylspec.nonlinear
 import cylspec.symbol
-from cylspec.errors import DivergenceError, NegativityError, ValidationError
-from cylspec.grid import GridFunction, tail_mask
+from cylspec.errors import DivergenceError, NegativityError, ValidationError, WindowError
+from cylspec.grid import GridFunction, multiply, tail_mask
 from cylspec.identities import pohozaev_check
 from cylspec.nonlinear import solve_profile
 from cylspec.profiles import bubble, frobenius_fit
-from cylspec.symbol import CylinderParams
+from cylspec.symbol import CylinderParams, theta_lattice
 
 SIGMA0_K03 = 0.76091823639160877
 
@@ -55,6 +55,38 @@ def test_even_guess_yields_even_solution():
     w = report.solution.samples.real
     assert np.max(np.abs(w - w[::-1])) <= 1e-10 * np.max(np.abs(w))
     assert np.min(w) >= -1e-8 * np.max(w)
+
+
+def test_composite_lattice_solves_on_the_natural_half_lattice(cold):
+    # 3841 points is 23 * 167: no Rader plan, so the folded product unfolds,
+    # multiplies and folds.  The solution is exactly even, solves the
+    # equation on the whole lattice, and matches the 7681-point one.
+    params = CylinderParams(n=3, gamma=0.5, kappa=0.3)
+    coarse = solve_profile(params, _grid(lambda t: 0.5 / np.cosh(t), step=2.0**-6))
+    w = coarse.solution.samples
+    assert coarse.converged and w.size == 3841 and cylspec.grid._rader_plan(3841) is None
+    assert np.array_equal(w, w[::-1])
+    half = theta_lattice(params, 0, w.size, 2.0**-6) - params.kappa
+    assert np.max(np.abs(multiply(half, w) - w**params.p)) <= 1e-10
+    fine = solve_profile(params, _grid(lambda t: 0.5 / np.cosh(t)))
+    assert np.max(np.abs(fine.solution.samples[::2] - w)) <= 1e-8
+
+
+def test_lattice_periodic_solution_raises_window_error():
+    # From its kappa = 0.7 Lambda solution, the solve at 0.9 Lambda used to
+    # report convergence after 29 steps on a period-30 solution of the
+    # periodized equation, peaked at t = -15 and at 1.3e-2 of its peak at
+    # the window's ends.  A solution must decay as the guess must.
+    base = CylinderParams(n=4, gamma=0.75)
+    near = CylinderParams(n=4, gamma=0.75, kappa=0.7 * base.lam)
+    c = (near.lam - near.kappa) ** (1.0 / (near.p - 1.0))
+    start = solve_profile(near, _grid(lambda t: c * bubble(near, t)))
+    assert start.solution.decay_margin() <= 1e-8
+    far = CylinderParams(n=4, gamma=0.75, kappa=0.9 * base.lam)
+    with pytest.raises(WindowError, match="not a decaying profile") as failure:
+        solve_profile(far, start.solution)
+    history = failure.value.history
+    assert len(history) > 10 and all(step.alpha > 0.0 for step in history)
 
 
 def test_zero_guess_is_trivial():
@@ -198,36 +230,43 @@ def test_right_preconditioning_closes_the_grid_gap(eps, f):
 
 @pytest.mark.parametrize("n, gamma, kappa", [(3, 0.5, 0.3), (4, 0.75, 0.0)])
 def test_one_circulant_per_krylov_iteration(cold, monkeypatch, n, gamma, kappa):
-    # ``P`` is the circulant of one multiplier product.  At the prime
-    # lattice size the multiplier runs two real transforms at (n - 1)/2
-    # on an even vector and the odd part's at n - 1; a symmetric solve
-    # keeps every vector exactly even, so the only transform at n - 1 is
-    # the odd kernel's, built with the even one from a cold start.  One
-    # ``P`` per Krylov product and one for each Newton step's
+    # ``P`` is the circulant of one multiplier product.  A symmetric solve
+    # runs on the folded half lattice, where at the prime lattice size
+    # each product is two real transforms at (n - 1)/2; the only transform
+    # at n - 1 is the odd kernel's, built with the even one from a cold
+    # start.  One ``P`` per Krylov product and one for each Newton step's
     # true-residual check, whose ``P y`` is the step itself; two ``P``
-    # per product, or a separate step product, would add to it.  A warm
-    # repeat takes both kernels from the memo.
+    # per product, or a separate step product, would add to it.  GMRES's
+    # vectors hold the (n + 1)/2 independent samples.  A warm repeat
+    # takes both kernels from the memo.
     calls = Counter()
     halves = []
-    rfft, multiply = scipy.fft.rfft, cylspec.nonlinear.multiply
+    sizes = set()
+    rfft, folded, gmres = scipy.fft.rfft, cylspec.nonlinear.multiply_folded, cylspec.nonlinear.gmres
 
     def counted(x, n=None, *args, **kwargs):
         calls[x.shape[-1] if n is None else n] += 1
         return rfft(x, n, *args, **kwargs)
 
-    def spy(half, v):
+    def spy(half, f, n):
         halves.append(half)
-        return multiply(half, v)
+        return folded(half, f, n)
+
+    def spy_gmres(op, b, **kwargs):
+        sizes.update({*op.shape, b.size})
+        return gmres(op, b, **kwargs)
 
     params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
     guess = _perturbed_bubble(params, 0.13, 0.75)
     monkeypatch.setattr(scipy.fft, "rfft", counted)
-    monkeypatch.setattr(cylspec.nonlinear, "multiply", spy)
+    monkeypatch.setattr(cylspec.nonlinear, "multiply_folded", spy)
+    monkeypatch.setattr(cylspec.nonlinear, "gmres", spy_gmres)
     report = solve_profile(params, guess)
     assert report.converged
     size = guess.samples.size
     m = (size - 1) // 2
-    sym_vals, inv_vals = cylspec.nonlinear._operator(params, size, guess.step)
+    assert sizes == {m + 1}
+    sym_vals, inv_vals = cylspec.nonlinear._operator(params, size, guess.step, True)
     krylov = sum(h.gmres_iterations for h in report.history)
     assert sum(h is inv_vals for h in halves) == krylov + report.iterations
     # the initial residual and at least one trial per Newton step
