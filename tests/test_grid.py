@@ -268,8 +268,8 @@ def test_multiply_round_trip_keeps_decaying_tails(dim, gamma, step):
 
 @pytest.mark.parametrize("n", [3, 5, 13, 241, 7681, 15361])
 def test_even_input_gives_bitwise_even_output_at_primes(n):
-    # A symmetric profile solve relies on it: its residuals and Krylov
-    # vectors stay exactly even, so the odd part never runs.
+    # An even input's odd part is exactly zero, so only the folded product
+    # runs and its result is unfolded: a bitwise even output.
     half = theta_lattice(CylinderParams(n=3, gamma=0.5), 0, n, 2.0**-7)
     v = np.random.default_rng(n).standard_normal(n)
     out = multiply(half, v + v[::-1])
