@@ -15,8 +15,8 @@ applies a real, even symbol given as the half spectrum of
 so residuals, Krylov products and anything whose tails are read share
 it.  An even vector is also held as its ``(n + 1)//2`` independent samples
 (:func:`fold`); at an odd prime size, in Rader's order, :func:`multiply_folded`
-runs two real transforms at ``(n - 1)/2`` on them as stored and an odd part
-two at ``n - 1``; elsewhere ``scipy.fft``'s real transforms run at ``n``.
+runs its transforms at ``(n - 1)/2`` on them as stored, and an odd part's run
+at ``n - 1``; elsewhere ``scipy.fft``'s real transforms run at ``n``.
 """
 
 from __future__ import annotations

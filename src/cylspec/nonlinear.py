@@ -16,8 +16,7 @@ quadratic rate (Dembo, Eisenstat & Steihaug, "Inexact Newton methods",
 operator is the identity plus a compact term, and GMRES takes about as
 many iterations on a refined grid as on the default one.  Each Newton
 step is a :class:`NewtonStep` on the report and on the error that ends a
-failed solve.  Guess and solution must decay to :data:`DECAY` of their
-peak at the window's ends; the periodized equation has periodic solutions.
+failed solve.
 
 The Newton residual, which defines the solution and its tail, and ``P``
 both run the one exact multiplier :func:`grid.multiply`, on the half
@@ -146,7 +145,8 @@ def solve_profile(
     by later solves; the step reuses the ``P y`` of GMRES's closing
     true-residual product when that ran on the same ``y``.  GMRES
     stops at ``FORCING * r * min(r, 1)`` for the step's sup residual
-    ``r``, or at ``GMRES_FLOOR * tolerance`` if larger.
+    ``r``, or at ``GMRES_FLOOR * tolerance`` if larger.  Even guesses on symmetric windows
+    are solved on the folded half lattice, centre sample weighted ``1/sqrt 2`` in GMRES.
     ``P`` is bounded for every accepted ``0 <= kappa < Lambda``:
     with ``Theta_0(xi) = 2^(2 gamma) |Gamma(A + i xi/2)|^2 / |Gamma(B + i xi/2)|^2``,
     ``A > B > 0``, the product form of Gamma gives on real frequencies

@@ -300,7 +300,7 @@ def test_warm_solve_reuses_the_lattice_operator(cold, monkeypatch):
     assert len(calls) == 1
     assert np.array_equal(second.solution.samples, first.solution.samples)
     assert second.history == first.history
-    sym_vals, _ = cylspec.nonlinear._operator(params, guess.samples.size, guess.step)
+    sym_vals, _ = cylspec.nonlinear._operator(params, guess.samples.size, guess.step, True)
     with pytest.raises(ValueError):
         sym_vals[0] = 0.0
 
