@@ -220,6 +220,16 @@ def find_roots(params, mode=0, count=12):
     roots' rectangle disagrees with the roots located; the located list
     rides on the exception as ``.roots``.
 
+    A large real pair is beyond the certification: ``tau_0`` grows like
+    ``kappa^(1/(2 gamma))``, and from about ``tau_0 ~ 1e12`` the
+    argument-principle contour raises :class:`QuadratureError` (it
+    passes through a root, or its phase tracking does not settle), never
+    returning a wrong root.  At mode 0 the limit lies between 15 and
+    21.5 ``Theta_0(0)`` for ``(n, gamma) = (3, 0.05)`` and between 100
+    and 1000 ``Theta_0(0)`` for ``(2, 0.1)``, while at ``(3, 0.5)`` even
+    ``1e8 Theta_0(0)`` gives only ``tau_0 = 6.4e7``.  Where ``tau_0``
+    would pass the float range, :class:`NoRootError` is raised instead.
+
     Results are memoized on ``(params, mode)``: a call for at most as
     many roots as an earlier one returns a new list holding that call's
     first ``count`` roots.

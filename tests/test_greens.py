@@ -12,6 +12,7 @@ from cylspec import greens
 from cylspec.errors import (
     DecayHypothesisError,
     DomainError,
+    QuadratureError,
     ValidationError,
     WindowError,
 )
@@ -181,6 +182,50 @@ def test_contour_shift_agrees_with_real_axis():
     direct = greens_quadrature_oracle(P03, 0, 2.0, contour_shift=0.0)
     shifted = greens_quadrature_oracle(P03, 0, 2.0, contour_shift=0.38)
     assert abs(direct - shifted) < 1e-9 * abs(direct)
+
+
+def _theta_point_counts(monkeypatch):
+    """Spy on the oracle's symbol calls; the list of points per call."""
+    counts = []
+
+    def spy(params, mode, z):
+        counts.append(np.size(z))
+        return theta(params, mode, z)
+
+    monkeypatch.setattr(greens, "theta", spy)
+    return counts
+
+
+BLOCK_POINTS = 32 * 48  # one block of lobes at 48 Gauss nodes each
+
+
+def test_oracle_stops_after_one_block(monkeypatch):
+    # A workload-like call converges in the first 32 lobes.  The first
+    # call is the regime check at z = 0.
+    counts = _theta_point_counts(monkeypatch)
+    greens_quadrature_oracle(CylinderParams(n=3, gamma=0.5, kappa=0.3), 0, 2.0)
+    assert counts == [1, BLOCK_POINTS]
+
+
+def test_oracle_evaluates_each_lobe_once(monkeypatch):
+    # This call needs a second block: 64 lobes in all, with the first 32
+    # kept rather than evaluated again.
+    params = CylinderParams(n=5, gamma=0.25, kappa=0.2)
+    counts = _theta_point_counts(monkeypatch)
+    got = greens_quadrature_oracle(params, 5, 5.0)
+    assert counts == [1, BLOCK_POINTS, BLOCK_POINTS]
+    want = build_greens(params, 5, truncation=40)(5.0)
+    assert abs(got - want) <= 1e-6 * abs(want)
+
+
+def test_oracle_failure_names_its_lobe_count(monkeypatch):
+    # At t = 8 this mode's value is 2e-25 and the estimate never meets
+    # the relative tolerance: the oracle stops at its cap of 384 lobes,
+    # 12 blocks each evaluated once, and says so.
+    counts = _theta_point_counts(monkeypatch)
+    with pytest.raises(QuadratureError, match=r"in 384 lobes: err .*, value "):
+        greens_quadrature_oracle(CylinderParams(n=5, gamma=0.25, kappa=0.2), 5, 8.0)
+    assert counts == [1] + [BLOCK_POINTS] * 12
 
 
 def test_solve_zero_rhs():

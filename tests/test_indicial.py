@@ -15,6 +15,7 @@ from cylspec.errors import (
     CylspecError,
     DegenerateRootError,
     IncompleteError,
+    QuadratureError,
     ThresholdError,
     ValidationError,
 )
@@ -441,3 +442,29 @@ def test_root_search_reads_slopes_from_its_own_evaluation(cold, monkeypatch):
     monkeypatch.setattr(indicial, "theta_derivative", lambda *a: calls.append(a))
     roots = find_roots(CylinderParams(n=3, gamma=0.5, kappa=0.3), 0, count=12)
     assert len(roots) == 12 and not calls
+
+
+@pytest.mark.parametrize(
+    "n, gamma, level, failure",
+    [
+        (3, 0.05, 15.0, None),  # tau_0 = 3.9e11
+        (3, 0.05, 21.5, "contour passes through a root"),
+        (2, 0.1, 100.0, None),  # tau_0 = 2.8e9
+        (2, 0.1, 1e3, "phase tracking did not settle"),
+    ],
+)
+def test_large_real_pair_certifies_or_raises_named_error(n, gamma, level, failure):
+    # The real pair tau_0 ~ kappa^(1/(2 gamma)) outgrows the certification
+    # contour near tau_0 ~ 1e12.  Below that the pair is returned and
+    # solves Theta_0 = kappa; above, find_roots raises QuadratureError,
+    # never a wrong root or a NaN.
+    th0 = complex(theta(CylinderParams(n=n, gamma=gamma), 0, 0.0)).real
+    params = CylinderParams(n=n, gamma=gamma, kappa=level * th0)
+    if failure is not None:
+        with pytest.raises(QuadratureError, match=failure):
+            find_roots(params, 0, count=3)
+        return
+    root = find_roots(params, 0, count=3)[0]
+    assert root.sigma == 0.0 and math.isfinite(root.tau) and root.tau > 1e9
+    residual = complex(theta(params, 0, root.tau)).real - params.kappa
+    assert abs(residual) <= 1e-12 * params.kappa

@@ -314,6 +314,26 @@ def test_shifted_symbol_reduces_to_plain_at_critical():
         )
 
 
+@pytest.mark.parametrize(
+    "n, gamma",
+    [(2, 0.05), (2, 0.5), (2, 0.95), (3, 0.05), (3, 0.5), (3, 0.95), (4, 0.3),
+     (4, 0.75), (5, 0.25), (6, 0.9)],
+)
+def test_shifted_symbol_is_dissipative_below_critical(n, gamma):
+    # Im theta_shifted(xi) < 0 for every xi > 0 on (p_lower, p_crit):
+    # the sign that rules out a decaying subcritical profile, since the
+    # profile equation times w' leaves int xi Im S |w^|^2 = 0.
+    xi = np.geomspace(1e-6, 400.0, 400)
+    base = CylinderParams(n=n, gamma=gamma)
+    for frac in (0.02, 0.25, 0.5, 0.75, 0.98):
+        p = base.p_lower + frac * (base.p_critical - base.p_lower)
+        params = CylinderParams(n=n, gamma=gamma, p=p)
+        for mode in (0, 1, 3):
+            s = theta_shifted(params, mode, xi)
+            assert np.all(np.isfinite(s))
+            assert np.max(s.imag / xi) < 0.0, (p, mode)
+
+
 def test_constant_A_reference():
     params = CylinderParams(n=3, gamma=0.5, p=1.75)
     # Frozen closed-form value; happens to be 1/sqrt(3).
