@@ -184,7 +184,7 @@ def greens_quadrature_oracle(params, mode, t, contour_shift=None):
     Gauss-Legendre, and the slowly decaying alternating lobe series is
     summed by iterated averaging.  The series grows in blocks of 32
     lobes, each lobe evaluated once, and stops at the first block whose
-    averaged limit meets the tolerance; past 384 lobes it raises
+    averaged limit meets the tolerance; at 384 lobes it gives up with
     :class:`QuadratureError`, naming the lobes reached.  The value at N
     lobes is bit for bit that of a single run over N lobes, since a
     lobe's integral and the running partial sums do not depend on the
@@ -227,7 +227,7 @@ def greens_quadrature_oracle(params, mode, t, contour_shift=None):
             return float(est.real) / (2.0 * math.pi)
     raise QuadratureError(
         f"oracle did not reach rel tol {_ORACLE_TOL} at t={t} in {len(lobes)} lobes: "
-        f"err {err:.3e}, value {est:.6e}"
+        f"err {err / (2.0 * math.pi):.3e}, value {est / (2.0 * math.pi):.6e}"
     )
 
 

@@ -219,13 +219,18 @@ def test_oracle_evaluates_each_lobe_once(monkeypatch):
 
 
 def test_oracle_failure_names_its_lobe_count(monkeypatch):
-    # At t = 8 this mode's value is 2e-25 and the estimate never meets
+    # At t = 8 this mode's value is 2.9e-26 and the estimate never meets
     # the relative tolerance: the oracle stops at its cap of 384 lobes,
-    # 12 blocks each evaluated once, and says so.
+    # 12 blocks each evaluated once, and says so.  The message gives the
+    # last estimate of G(t), not of the line integral, 2 pi times it.
+    params = CylinderParams(n=5, gamma=0.25, kappa=0.2)
     counts = _theta_point_counts(monkeypatch)
-    with pytest.raises(QuadratureError, match=r"in 384 lobes: err .*, value "):
-        greens_quadrature_oracle(CylinderParams(n=5, gamma=0.25, kappa=0.2), 5, 8.0)
+    with pytest.raises(QuadratureError, match=r"in 384 lobes: err .*, value ") as info:
+        greens_quadrature_oracle(params, 5, 8.0)
     assert counts == [1] + [BLOCK_POINTS] * 12
+    value = complex(str(info.value).rsplit("value ", 1)[1])
+    want = build_greens(params, 5, truncation=40)(8.0)
+    assert abs(value - want) <= 0.01 * abs(want)
 
 
 def test_solve_zero_rhs():
