@@ -25,8 +25,8 @@ each other.  The quadrature grows its lobe series in blocks of 32
 lobes, evaluating each lobe once, up to a cap of 384.
 
 Two memos let one source pair be swept once: the components of
-:func:`component_solutions` on ``(series, source)``, and the sampled
-kernel of :func:`solve_convolution` on ``(series, n, step)``, each a
+:func:`component_solutions` on ``(series, source)``, and the kernel's
+spectrum of :func:`solve_convolution` on ``(series, n, step)``, each a
 ``functools.lru_cache`` of 2 entries holding read-only values.  The
 series is keyed by value and the source by identity, since a
 :class:`~cylspec.grid.GridFunction` is immutable and hashes by identity.
@@ -247,7 +247,10 @@ def _euler_limit(partial):
 def solve_convolution(greens, h):
     """Particular solution of (Theta_m(D) - kappa) w = h as G * h, by FFT convolution.
 
-    The source must decay to 1e-10 of its peak at the window's ends.
+    One cyclic convolution (:func:`~cylspec.grid.fftconvolve`) of the
+    trapezoid-weighted source with :func:`_kernel`'s spectrum, exact on the
+    n outputs.  The source must decay to 1e-10 of its peak at the window's
+    ends.
     """
     h.require_decay()
     if np.iscomplexobj(h.samples):
@@ -255,16 +258,37 @@ def solve_convolution(greens, h):
         im = solve_convolution(greens, h.with_samples(h.samples.imag))
         return h.with_samples(re.samples + 1j * im.samples)
     n = h.n_points
-    full = fftconvolve(_kernel(greens, n, h.step), h.samples * trapezoid_weights(n))
-    return h.with_samples(full[n - 1 : 2 * n - 1] * h.step)
+    spectrum, length = _kernel(greens, n, h.step)
+    return h.with_samples(fftconvolve(spectrum, h.samples * trapezoid_weights(n), length) * h.step)
 
 
 @functools.lru_cache(maxsize=2)
 def _kernel(greens, n, step):
-    """The series on the lags ``-(n-1) .. n-1`` of spacing ``step``, read-only."""
-    kernel = greens((np.arange(2 * n - 1) - (n - 1)) * step)
-    kernel.flags.writeable = False
-    return kernel
+    """The series' ``rfft`` at ``L = next_fast_len(2n - 1, real=True)``, and ``L``; read-only.
+
+    The series is laid out as :func:`~cylspec.grid.fftconvolve` takes it,
+    on the lags of spacing ``step``.  Its exponentials, even in t, are
+    sampled once on the lags ``0 .. n-1`` as the sweeps' blocked powers
+    ``r_j^i`` (``i < _BLOCK``) times the block starts ``r_j^(_BLOCK b)``, in
+    one product with the coefficients, and mirrored bit for bit; the
+    unstable regime's one-sided sine is sampled on the negative lags.
+    """
+    from scipy import fft
+
+    length = fft.next_fast_len(2 * n - 1, real=True)
+    sine = int(greens.roots[0].sigma == 0.0)  # the unstable regime's real pair comes first
+    log_r = -step * np.array([r.sigma for r in greens.roots[sine:]])
+    powers = np.exp(log_r[:, None] * np.arange(_BLOCK))
+    starts = np.exp(_BLOCK * log_r[:, None] * np.arange(-(-n // _BLOCK)))
+    right = ((np.array(greens.coefficients[sine:]) * starts.T) @ powers).ravel()[:n]
+    kernel = np.zeros(length)
+    kernel[:n], kernel[length - n + 1 :] = right, right[:0:-1]
+    if sine:
+        lags = np.arange(1 - n, 0) * step
+        kernel[length - n + 1 :] += greens.coefficients[0] * np.sin(greens.roots[0].tau * lags)
+    spectrum = fft.rfft(kernel)
+    spectrum.flags.writeable = False
+    return spectrum, length
 
 
 _BLOCK = 32  # lattice points per block of the sweeps

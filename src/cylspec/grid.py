@@ -197,17 +197,19 @@ def _rader_plan(n):
     return plan
 
 
-def fftconvolve(a, b):
-    """Full linear convolution of two real 1-d arrays at ``scipy.fft.next_fast_len``.
+def fftconvolve(spectrum, b, length):
+    """Cyclic convolution at ``length`` of ``b`` with the kernel whose ``rfft`` is ``spectrum``,
+    on b's n points.
 
-    Same padding and real transforms as ``scipy.signal.fftconvolve``, so
-    the result is bit-identical to it.
+    A kernel holding its lags ``0 .. n-1`` in entries ``0 .. n-1`` and its
+    lags ``-(n-1) .. -1`` in the last ``n - 1`` gives the window ``[n-1,
+    2n-1)`` of the linear convolution once ``length >= 2n - 1``, which may be
+    odd: no lag between two of b's points wraps.  scipy's real transforms,
+    like :func:`multiply`.
     """
-    from scipy.fft import next_fast_len
+    from scipy import fft
 
-    n = a.size + b.size - 1
-    m = next_fast_len(n, real=True)
-    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
+    return fft.irfft(spectrum * fft.rfft(b, length), length)[: b.size]
 
 
 def trapezoid_weights(n):

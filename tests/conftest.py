@@ -8,11 +8,11 @@ from cylspec import greens, grid, identities, indicial, nonlinear, symbol
 # per (params, mode), the lattice symbol per (n, gamma, mode, lattice
 # size, step), the multiplier's Rader plan per lattice size, the profile
 # solver's two half spectra per (params, n, step), the Green's series'
-# components per (series, source) and its sampled convolution kernel
-# per (series, n, step), and the weighted Wronskian per (series, w,
-# w_tilde, h, h_tilde).  (``greens._gauss_nodes`` is a fixed table.)  A
-# new memo is registered here, so that ``cold`` empties it too;
-# ``test_memos.py`` checks that.
+# components per (series, source) and its convolution kernel's spectrum
+# at the cyclic length next_fast_len(2n - 1) per (series, n, step), and
+# the weighted Wronskian per (series, w, w_tilde, h, h_tilde).
+# (``greens._gauss_nodes`` is a fixed table.)  A new memo is registered
+# here, so that ``cold`` empties it too; ``test_memos.py`` checks that.
 MEMOS = (
     indicial._memo,
     symbol._lattice,

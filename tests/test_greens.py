@@ -1,10 +1,12 @@
 """Green's series vs quadrature, solver equivalence, asymptotics."""
 
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import fftconvolve
 
 from conftest import clear_memos
@@ -435,6 +437,71 @@ def test_source_pair_is_swept_once(cold, monkeypatch):
     assert greens._kernel.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("n", [13, 41, 64, 7681])
+@pytest.mark.parametrize("params", [CylinderParams(n=2, gamma=0.9), P08], ids=["slow", "unstable"])
+def test_cyclic_convolution_is_the_linear_one(params, n):
+    # solve_convolution's n outputs are one cyclic convolution at
+    # L = next_fast_len(2n - 1): the window [n-1, 2n-1) of the linear
+    # convolution on the 2n - 1 lags, with L = 2n - 1 = 25 and 81 (odd),
+    # L = 2n = 128 and L = 15552 for 2n - 1 = 15361.  On [-30, 30] the slow
+    # series (sigma_0 ~ 0.1) is still 2.5e-3 of its peak at lag 60 and the
+    # unstable one's sine never decays, so a lag out of place shows far
+    # above round-off.
+    series = build_greens(params, 0, truncation=12)
+    h = GridFunction.from_callable(
+        lambda t: np.exp(-(((t - 3.0) / 4.0) ** 2)), step=60.0 / (n - 1)
+    )
+    assert h.n_points == n
+    lags = (np.arange(2 * n - 1) - (n - 1)) * h.step
+    u = h.samples * trapezoid_weights(n)
+    want = fftconvolve(series(lags), u)[n - 1 : 2 * n - 1] * h.step
+    got = solve_convolution(series, h).samples
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("params", [P03, P08], ids=["stable", "unstable"])
+def test_one_transform_pair_per_source_at_the_cyclic_length(cold, monkeypatch, params):
+    # A cold (series, lattice) runs the kernel's rfft, the source's rfft
+    # and one irfft, all at L = next_fast_len(2n - 1); the pair's second
+    # source takes the memoized spectrum and runs one of each.  Nothing
+    # runs at the linear convolution's next_fast_len(3n - 2).  The kernel,
+    # the first rfft's input, holds the series on the lags 0 .. n-1 and
+    # -(n-1) .. -1 within a few ulps of its peak, zeros between.
+    calls = Counter()
+    inputs = []
+    rfft, irfft = scipy.fft.rfft, scipy.fft.irfft
+
+    def spy_rfft(x, n=None, *args, **kwargs):
+        calls["rfft", x.shape[-1] if n is None else n] += 1
+        inputs.append(x)
+        return rfft(x, n, *args, **kwargs)
+
+    def spy_irfft(x, n=None, *args, **kwargs):
+        calls["irfft", n] += 1
+        return irfft(x, n, *args, **kwargs)
+
+    series = build_greens(params, 0, truncation=12)
+    h, h2 = _real_pair()
+    n = h.n_points
+    length = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    assert length < scipy.fft.next_fast_len(3 * n - 2, real=True)
+    monkeypatch.setattr(scipy.fft, "rfft", spy_rfft)
+    monkeypatch.setattr(scipy.fft, "irfft", spy_irfft)
+    solve_convolution(series, h)
+    assert calls == {("rfft", length): 2, ("irfft", length): 1}
+    solve_convolution(series, h2)
+    assert calls == {("rfft", length): 3, ("irfft", length): 2}
+    spectrum, memo_length = greens._kernel(series, n, h.step)
+    assert memo_length == length and not spectrum.flags.writeable
+    kernel = inputs[0]
+    assert kernel.size == length and not kernel[n : length - n + 1].any()
+    ulp = np.finfo(float).eps * np.max(np.abs(kernel))
+    assert np.max(np.abs(kernel[:n] - series(np.arange(n) * h.step))) <= 4.0 * ulp
+    assert np.max(np.abs(kernel[length - n + 1 :] - series(np.arange(1 - n, 0) * h.step))) <= 4.0 * ulp
+    if series.regime == "stable":
+        assert np.array_equal(kernel[length - n + 1 :], kernel[n - 1 : 0 : -1])
+
+
 def test_memoized_components_are_fresh_lists_of_read_only_values(cold):
     series = build_greens(P03, 0, truncation=12)
     h, _ = _real_pair()
@@ -443,17 +510,18 @@ def test_memoized_components_are_fresh_lists_of_read_only_values(cold):
     assert again is not first and again == first  # the same shared components
     first.clear()
     assert len(component_solutions(series, h)) == 13
-    kernel = greens._kernel(series, h.n_points, h.step)
+    spectrum, length = greens._kernel(series, h.n_points, h.step)
     for comp in again:
         with pytest.raises(ValueError):
             comp.samples[0] = 1.0
     with pytest.raises(ValueError):
-        kernel[0] = 1.0
+        spectrum[0] = 1.0
     by_kernel = solve_convolution(series, h)
     clear_memos()
     for warm, cold_comp in zip(again, component_solutions(series, h)):
         assert np.array_equal(warm.samples, cold_comp.samples)
-    assert np.array_equal(greens._kernel(series, h.n_points, h.step), kernel)
+    cold_spectrum, cold_length = greens._kernel(series, h.n_points, h.step)
+    assert cold_length == length and np.array_equal(cold_spectrum, spectrum)
     assert np.array_equal(solve_convolution(series, h).samples, by_kernel.samples)
 
 

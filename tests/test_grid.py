@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import fftconvolve as scipy_fftconvolve
 
 from cylspec.errors import (
@@ -118,12 +119,23 @@ def test_json_round_trip_with_metadata(tmp_path):
 
 
 @pytest.mark.parametrize("n", [7, 481, 7681])
-def test_fftconvolve_matches_scipy_signal_bit_for_bit(n):
+def test_fftconvolve_is_the_window_of_the_linear_convolution(n):
+    # A kernel on the lags -(n-1) .. n-1, stored cyclically at any length
+    # L >= 2n - 1, odd or even, gives scipy.signal's linear convolution on
+    # the window [n-1, 2n-1) to round-off.  At L = 2n - 2 the lag -(n-1)
+    # lands on n-1, and the window is off by far more.
     rng = np.random.default_rng(n)
     a = rng.standard_normal(2 * n - 1)
     b = rng.standard_normal(n)
-    assert fftconvolve(a, b).dtype == np.float64
-    assert np.array_equal(fftconvolve(a, b), scipy_fftconvolve(a, b))
+    want = scipy_fftconvolve(a, b)[n - 1 : 2 * n - 1]
+    for length in (2 * n - 2, 2 * n - 1, 2 * n, scipy.fft.next_fast_len(2 * n - 1, real=True)):
+        kernel = np.zeros(length)
+        kernel[:n] = a[n - 1 :]
+        kernel[length - n + 1 :] += a[: n - 1]
+        got = fftconvolve(scipy.fft.rfft(kernel), b, length)
+        assert got.dtype == np.float64 and got.size == n
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err > 1e-3 if length < 2 * n - 1 else err <= 1e-14, length
 
 
 def _mirrored(half, n):

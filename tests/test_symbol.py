@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import loggamma
 
 from cylspec import specfun, symbol
@@ -332,6 +333,30 @@ def test_shifted_symbol_is_dissipative_below_critical(n, gamma):
             s = theta_shifted(params, mode, xi)
             assert np.all(np.isfinite(s))
             assert np.max(s.imag / xi) < 0.0, (p, mode)
+
+
+@pytest.mark.parametrize("n, gamma, p", [(3, 0.5, 1.8), (4, 0.75, 1.9), (2, 0.3, 1.5)])
+def test_shifted_symbol_parseval_form(n, gamma, p):
+    # int (S(D) w) w' dt = (1/2 pi) int xi Im S(xi) |w^(xi)|^2 dxi for
+    # S = theta_shifted(params, 0, .) and w = exp(-t^2), w^ = sqrt(pi)
+    # e^{-xi^2/4}.  Left: numpy's complex FFT with the full Hermitian
+    # symbol on the composite 3841-point lattice and the exact w'.  Right:
+    # quad on xi > 0, the integrand being even.  Below p_crit both are
+    # negative, the sign that rules out a decaying subcritical profile.
+    params = CylinderParams(n=n, gamma=gamma, p=p)
+    step = 2.0**-6
+    t = -30.0 + step * np.arange(3841)
+    w = np.exp(-(t**2))
+    s = theta_shifted(params, 0, angular_frequencies(t.size, step))
+    lhs = step * np.sum(np.fft.ifft(s * np.fft.fft(w)).real * (-2.0 * t * w))
+    weighted = quad(
+        lambda xi: xi * theta_shifted(params, 0, xi).imag * math.pi * math.exp(-(xi**2) / 2.0),
+        0.0,
+        np.inf,
+    )[0]
+    rhs = 2.0 * weighted / (2.0 * math.pi)
+    assert lhs < 0.0 and rhs < 0.0
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_constant_A_reference():
