@@ -10,13 +10,14 @@ unless some imaginary part is nonzero.  Serialization is CSV (columns
 line ends) and JSON with a metadata block.  The lattice's numerics live
 here too, one routine each: Fourier multiplier, FFT convolution,
 trapezoid rule and tail decay-rate fit.  The multiplier :func:`multiply`
-applies a real, even symbol given as the half spectrum of
-:func:`~cylspec.symbol.theta_lattice`, exactly to a transform's round-off,
-so residuals, Krylov products and anything whose tails are read share
-it.  An even vector is also held as its ``(n + 1)//2`` independent samples
-(:func:`fold`); at an odd prime size, in Rader's order, :func:`multiply_folded`
-runs its transforms at ``(n - 1)/2`` on them as stored, and an odd part's run
-at ``n - 1``; elsewhere ``scipy.fft``'s real transforms run at ``n``.
+applies a symbol given on the non-negative frequencies, real and even as
+:func:`~cylspec.symbol.theta_lattice` returns it or Hermitian, by
+``scipy.fft``'s real transforms at ``n``, exactly to a transform's
+round-off, so residuals, Krylov products and anything whose tails are read
+share it.  An even vector is also held as its ``(n + 1)//2`` independent
+samples (:func:`fold`); at an odd prime size, in Rader's order,
+:func:`multiply_folded` runs its transforms at ``(n - 1)/2`` on them as
+stored.
 """
 
 from __future__ import annotations
@@ -48,42 +49,21 @@ def angular_frequencies(n, step):
 def multiply(half, v):
     """Fourier multiplier ``irfft(rfft(v) * half, n)`` on the periodized n-point lattice.
 
-    ``half`` holds a real, even symbol on the non-negative frequencies of
-    :func:`angular_frequencies`, as :func:`~cylspec.symbol.theta_lattice`
-    returns it: a real circulant, so real ``v`` gives a real result and
-    complex ``v`` the products of its two parts.  It is the lattice's one
-    multiplier, exact to a transform's round-off, for residuals and
-    Krylov products alike.
-
-    At an odd prime ``n``, where scipy has only Bluestein's algorithm, the
-    even part of ``v`` is :func:`multiply_folded` and the odd part, when
-    nonzero, a cyclic correlation of length ``n - 1`` into the spectrum and
-    one back by Rader's map (:func:`_rader_plan`), so an even ``v`` gives a
-    bitwise even result; elsewhere scipy's real transforms at ``n``.  A
-    complex Hermitian half spectrum (a shifted symbol) is not supported.
+    ``half`` holds a symbol on the non-negative frequencies of
+    :func:`angular_frequencies`: real and even, as
+    :func:`~cylspec.symbol.theta_lattice` returns it, or at odd ``n``
+    complex with ``S(-xi) = conj S(xi)``, as
+    :func:`~cylspec.symbol.theta_shifted` is.  Either is a real circulant,
+    so real ``v`` gives a real result and complex ``v`` the products of
+    its two parts.  It is the lattice's one multiplier, exact to a
+    transform's round-off, for residuals and Krylov products alike:
+    scipy's real transforms at ``n``, Bluestein's algorithm at a prime.
     """
     from scipy import fft  # at first use, not at `import cylspec`
 
     if np.iscomplexobj(v):
         return multiply(half, v.real) + 1j * multiply(half, v.imag)
-    n = v.size
-    plan = _rader_plan(n)
-    if plan is None:
-        return fft.irfft(fft.rfft(v) * half, n)
-    at, freq, _, _, sin_in, sin_out = plan
-    m = (n - 1) // 2
-    right, left = v[at[:m]], v[at[m:]]  # v at the centre m plus and minus g^q
-    even = np.concatenate([v[m : m + 1], 0.5 * (right + left)])
-    even = multiply_folded(fold_spectrum(half, n), even, n)
-    odd = 0.5 * (right - left)
-    if not odd.any():
-        return unfold(even, n)
-    # The sine transform at the frequencies g^-p, on data odd in q since g^(q + m) = -g^q.
-    spec = half[freq] * fft.irfft(fft.rfft(np.concatenate([odd, -odd])) * sin_in, n - 1)
-    odd_out = fft.irfft(fft.rfft(spec) * sin_out, n - 1)[:m] / n
-    out = unfold(even, n)
-    out[at] += np.concatenate([odd_out, -odd_out])
-    return out
+    return fft.irfft(fft.rfft(v) * half, v.size)
 
 
 def fold(v):
@@ -111,8 +91,8 @@ def fold_spectrum(half, n):
 
 def multiply_folded(half, f, n):
     """:func:`multiply` on :func:`fold`'s samples ``f`` of an even n-point vector, ``half``
-    in :func:`fold_spectrum`'s order: at a prime ``n`` multiply's even part, a cyclic
-    correlation and a convolution of length ``(n - 1)/2`` on ``f`` as stored."""
+    in :func:`fold_spectrum`'s order: at a prime ``n`` Rader's map, a cyclic correlation
+    and a convolution of length ``(n - 1)/2`` on ``f`` as stored."""
     from scipy import fft
 
     plan = _rader_plan(n)
@@ -138,37 +118,35 @@ def _prime_factors(k):
 
 
 def _unit_circle(k, n):
-    """``cos`` and ``sin`` of ``2 pi k/n`` for integers ``k``, from angles of at most pi/4.
+    """``cos(2 pi k/n)`` for integers ``k``, from angles of at most pi/4.
 
     The angle is ``pi/(2n)`` times ``4k``, which is split exactly, in
     integers, into ``q n + r`` with ``|r| <= n/2``; the ``q`` quarter turns
-    are applied by swapping and negating.  Rounding ``2 pi k/n`` itself
-    would put up to eight times as much absolute error in the angle.
+    pick the cosine or the sine of the rest and its sign.  Rounding
+    ``2 pi k/n`` itself would put up to eight times as much absolute error
+    in the angle.
     """
     four = 4 * k
     q = (2 * four + n) // (2 * n)
     angle = math.pi / (2 * n) * (four - q * n)
     c, s = np.cos(angle), np.sin(angle)
-    q %= 4
-    return np.choose(q, [c, -s, -c, s]), np.choose(q, [s, c, -s, -c])
+    return np.choose(q % 4, [c, -s, -c, s])
 
 
 @lru_cache(maxsize=16)
 def _rader_plan(n):
-    """:func:`multiply`'s index maps and kernel spectra at an odd prime ``n``, else ``None``.
+    """Rader's map of :func:`fold` and :func:`multiply_folded` at an odd prime ``n``, else None.
 
     With ``g`` the least primitive root mod ``n`` and ``m = (n - 1)/2``,
     the nonzero offsets from the centre sample ``m`` are ``+-g^q``,
     ``0 <= q < m`` (``g^m = -1``), and ``cos(2 pi g^q g^-p / n)`` depends on
-    ``q - p`` only.  So the even part's transform ``sum_k e_k cos(2 pi jk/n)``
+    ``q - p`` only.  So an even vector's transform ``sum_k e_k cos(2 pi jk/n)``
     is a cyclic correlation of length ``m`` with the kernel
-    ``2 cos(2 pi g^q/n)``, and the way back the matching convolution; the
-    odd part's sine transform is the same with ``sin(2 pi g^q/n)`` at
-    length ``n - 1``, a negacyclic correlation of length ``m`` on data
-    odd in ``q``.  Returns the lattice index of the offset ``g^q``
-    (``q < n - 1``), the half-spectrum bin of the frequency ``g^-p``, and
-    each kernel's spectrum, conjugated for the correlation and plain for
-    the convolution, all read-only.  Memoized per ``n``.
+    ``2 cos(2 pi g^q/n)``, and the way back the matching convolution.
+    Returns the lattice index of the offset ``g^q`` (``q < n - 1``), the
+    half-spectrum bin of the frequency ``g^-p``, and the kernel's
+    spectrum, conjugated for the correlation and plain for the
+    convolution, all read-only.  Memoized per ``n``.
     """
     from scipy import fft
 
@@ -182,16 +160,8 @@ def _rader_plan(n):
     powers = powers[: n - 1]  # g^q mod n
     m = (n - 1) // 2
     inverse = powers[-np.arange(n - 1)]  # g^-p mod n
-    cos, sin = _unit_circle(powers, n)
-    cos_spec, sin_spec = fft.rfft(2.0 * cos[:m]), fft.rfft(sin)
-    plan = (
-        (m + powers) % n,
-        np.minimum(inverse, n - inverse),
-        cos_spec.conj(),
-        cos_spec,
-        sin_spec.conj(),
-        sin_spec,
-    )
+    spec = fft.rfft(2.0 * _unit_circle(powers[:m], n))
+    plan = ((m + powers) % n, np.minimum(inverse, n - inverse), spec.conj(), spec)
     for array in plan:
         array.flags.writeable = False
     return plan

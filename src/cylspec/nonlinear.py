@@ -25,9 +25,11 @@ whose round-off reached the low frequencies, as a fast-length circulant
 built on the sampled kernel does, would leave noise in the decaying
 tails that the tail-rate checks read.  An even guess on a symmetric window
 is solved exactly even on its ``(n + 1)//2`` independent samples
-(:func:`grid.fold`, :func:`grid.multiply_folded`); with the centre one
-weighted by ``1/sqrt 2`` and ``atol`` divided by ``sqrt 2``, GMRES has the
-full lattice's stop and Krylov spaces and half its Arnoldi basis.
+(:func:`grid.fold`), whose product :func:`grid.multiply_folded` runs
+Rader's map at a prime lattice size; with the centre one weighted by
+``1/sqrt 2`` and ``atol`` divided by ``sqrt 2``, GMRES has the full
+lattice's stop and Krylov spaces and half its Arnoldi basis.  Any other
+guess is solved on full-length vectors by :func:`grid.multiply`.
 """
 
 from __future__ import annotations

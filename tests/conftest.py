@@ -6,7 +6,7 @@ from cylspec import greens, grid, identities, indicial, nonlinear, symbol
 
 # Every memo in the package keyed on its arguments: the certified roots
 # per (params, mode), the lattice symbol per (n, gamma, mode, lattice
-# size, step), the multiplier's Rader plan per lattice size, the profile
+# size, step), the folded product's Rader plan per lattice size, the profile
 # solver's two half spectra per (params, n, step), the Green's series'
 # components per (series, source) and its convolution kernel's spectrum
 # at the cyclic length next_fast_len(2n - 1) per (series, n, step), and

@@ -24,6 +24,7 @@ from cylspec.greens import (
 from cylspec import grid
 from cylspec.grid import (
     GridFunction,
+    angular_frequencies,
     fftconvolve,
     multiply,
     tail_mask,
@@ -33,7 +34,7 @@ from cylspec.grid import (
 from cylspec.identities import wronskian, wronskian_defect
 from cylspec.nonlinear import solve_profile
 from cylspec.profiles import bubble, cylinder_constant
-from cylspec.symbol import CylinderParams, theta_lattice
+from cylspec.symbol import CylinderParams, theta_lattice, theta_shifted
 
 
 def _gaussian(t_max=10.0, step=0.125):
@@ -139,8 +140,15 @@ def test_fftconvolve_is_the_window_of_the_linear_convolution(n):
 
 
 def _mirrored(half, n):
-    """A half spectrum laid out on the whole lattice in FFT order."""
-    return np.concatenate([half, half[(n - 1) // 2 : 0 : -1]])
+    """A half spectrum laid out on the whole lattice in FFT order, ``S(-xi) = conj S(xi)``."""
+    return np.concatenate([half, half[(n - 1) // 2 : 0 : -1].conj()])
+
+
+def _shifted_half(n, step):
+    """The Hermitian ``theta_shifted`` at (3, 0.5), p 1.8, on the non-negative
+    frequencies of an odd n-point lattice."""
+    xi = angular_frequencies(n, step)[: n // 2 + 1]
+    return theta_shifted(CylinderParams(n=3, gamma=0.5, p=1.8), 0, xi)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -148,28 +156,36 @@ def _mirrored(half, n):
 def test_multiply_matches_complex_transform(n, dtype):
     # The real product of a half spectrum is the complex product of the
     # mirrored symbol, up to a transform's round-off, for real and for
-    # complex data.
+    # complex data; at odd n for a complex Hermitian half spectrum too.
     rng = np.random.default_rng(n)
-    half = theta_lattice(CylinderParams(n=4, gamma=0.75), 0, n, 2.0**-7)
+    halves = [theta_lattice(CylinderParams(n=4, gamma=0.75), 0, n, 2.0**-7)]
+    if n % 2:
+        halves.append(_shifted_half(n, 2.0**-7))
     v = rng.standard_normal(n)
     if dtype is np.complex128:
         v = v + 1j * rng.standard_normal(n)
-    got = multiply(half, v)
-    want = np.fft.ifft(np.fft.fft(v) * _mirrored(half, n))
-    assert got.dtype == dtype and got.shape == (n,)
-    scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(v))
-    assert np.max(np.abs(got - want)) <= 8.0 * scale
+    for half in halves:
+        got = multiply(half, v)
+        want = np.fft.ifft(np.fft.fft(v) * _mirrored(half, n))
+        assert got.dtype == dtype and got.shape == (n,)
+        scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(v))
+        assert np.max(np.abs(got - want)) <= 8.0 * scale
 
 
 def _dft_multiply(half, v):
     """``multiply(half, v)`` at odd ``n``: the mirrored symbol's circulant kernel
-    by a 30-digit DFT, rounded to 2^-100 and applied in integer arithmetic."""
+    by a 30-digit DFT, rounded to 2^-100 and applied in integer arithmetic.  The
+    kernel is ``(S_0 + 2 sum_k Re S_k cos(2 pi jk/n) - Im S_k sin(2 pi jk/n))/n``,
+    so a complex ``half`` is taken as Hermitian."""
     n = v.size
     with mpmath.workdps(30):
         cos = [mpmath.cospi(mpmath.mpf(2 * j) / n) for j in range(n)]
-        sym = [mpmath.mpf(float(s)) for s in half]
+        sin = [mpmath.sinpi(mpmath.mpf(2 * j) / n) for j in range(n)]
+        re, im = ([mpmath.mpf(float(s)) for s in part] for part in (half.real, half.imag))
+        ks = range(1, n // 2 + 1)
         kernel = [
-            (sym[0] + 2 * mpmath.fdot(sym[1:], [cos[j * k % n] for k in range(1, n // 2 + 1)])) / n
+            (re[0] + 2 * mpmath.fdot(re[1:], [cos[j * k % n] for k in ks])
+             - 2 * mpmath.fdot(im[1:], [sin[j * k % n] for k in ks])) / n
             for j in range(n)
         ]
         kernel = [int(mpmath.nint(c * 2**100)) for c in kernel]
@@ -183,17 +199,19 @@ def _dft_multiply(half, v):
 
 @pytest.mark.parametrize("n", [3, 5, 7, 13, 61, 241, 9, 121, 481])
 def test_multiply_matches_a_30_digit_dft(n):
-    # At the primes Rader's reindexing, at 9, 121 and 481 scipy's real
-    # transforms: both within a few round-offs of the exact product, on
-    # even, asymmetric and complex data.
+    # scipy's real transforms, Bluestein's at the primes, are within a few
+    # round-offs of the exact product, on even, asymmetric and complex
+    # data, for a real even and a complex Hermitian half spectrum.
     rng = np.random.default_rng(n)
-    half = theta_lattice(CylinderParams(n=4, gamma=0.75), 0, n, 2.0**-7)
+    real = theta_lattice(CylinderParams(n=4, gamma=0.75), 0, n, 2.0**-7)
+    halves = (real, _shifted_half(n, 2.0**-7))
     v = rng.standard_normal(n)
     for data in (v + v[::-1], v, v + 1j * rng.standard_normal(n)):
-        got = multiply(half, data)
-        scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(data))
-        assert got.dtype == data.dtype
-        assert np.max(np.abs(got - _dft_multiply(half, data))) <= 4.0 * scale
+        for half in halves:
+            got = multiply(half, data)
+            scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(data))
+            assert got.dtype == data.dtype
+            assert np.max(np.abs(got - _dft_multiply(half, data))) <= 4.0 * scale
 
 
 def _long_double_even_multiply(half, v):
@@ -240,14 +258,18 @@ def test_multiply_folded_matches_an_extended_precision_dft(n):
 
 @pytest.mark.parametrize("n", [3, 5, 9, 13, 121, 241, 3841, 7681, 15361])
 def test_folded_product_is_multiply_on_even_vectors(n):
-    # At the primes multiply's even part is the folded product, so the two
-    # agree bit for bit; elsewhere the folded product is multiply folded.
+    # Off the primes the folded product is multiply folded, bit for bit; at
+    # the primes Rader's map and Bluestein's transforms agree to round-off.
     half = theta_lattice(CylinderParams(n=3, gamma=0.5), 0, n, 2.0**-7)
     v = np.random.default_rng(n).standard_normal(n)
     v = v + v[::-1]
     got = grid.unfold(grid.multiply_folded(grid.fold_spectrum(half, n), grid.fold(v), n), n)
     full = multiply(half, v)
-    assert np.array_equal(got, full if grid._rader_plan(n) else grid.unfold(grid.fold(full), n))
+    if grid._rader_plan(n) is None:
+        assert np.array_equal(got, grid.unfold(grid.fold(full), n))
+    else:
+        scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(v))
+        assert np.max(np.abs(got - full)) <= 4.0 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 13, 7680, 7681])
@@ -270,41 +292,34 @@ def test_multiply_round_trip_keeps_decaying_tails(dim, gamma, step):
     # Round-off that reaches the low frequencies would stay in the
     # decaying tails, where the tail-rate checks read it: a fast-length
     # circulant built on the kernel irfft(half, n) read 200 eps to 1.4e7 eps
-    # here, the exact product 2 to 12 eps.
+    # here, the exact product 2 to 12 eps.  The same holds through 1/S for
+    # the Hermitian shifted symbol S halfway between p_lower and p_crit.
     v = GridFunction.from_callable(lambda t: np.zeros_like(t), step=step)
-    half = theta_lattice(CylinderParams(n=dim, gamma=gamma), 0, v.n_points, step)
-    for samples in (1.0 / np.cosh(v.t) ** 2, np.exp(-((v.t - 1.0) ** 2))):
-        back = multiply(1.0 / half, multiply(half, samples))
-        assert np.max(np.abs(back - samples)) <= 16.0 * np.finfo(float).eps * np.max(samples)
-
-
-@pytest.mark.parametrize("n", [3, 5, 13, 241, 7681, 15361])
-def test_even_input_gives_bitwise_even_output_at_primes(n):
-    # An even input's odd part is exactly zero, so only the folded product
-    # runs and its result is unfolded: a bitwise even output.
-    half = theta_lattice(CylinderParams(n=3, gamma=0.5), 0, n, 2.0**-7)
-    v = np.random.default_rng(n).standard_normal(n)
-    out = multiply(half, v + v[::-1])
-    assert np.array_equal(out, out[::-1])
+    params = CylinderParams(n=dim, gamma=gamma)
+    shifted = CylinderParams(n=dim, gamma=gamma, p=0.5 * (params.p_lower + params.p_critical))
+    xi = angular_frequencies(v.n_points, step)[: v.n_points // 2 + 1]
+    for half in (theta_lattice(params, 0, v.n_points, step), theta_shifted(shifted, 0, xi)):
+        for samples in (1.0 / np.cosh(v.t) ** 2, np.exp(-((v.t - 1.0) ** 2))):
+            back = multiply(1.0 / half, multiply(half, samples))
+            assert np.max(np.abs(back - samples)) <= 16.0 * np.finfo(float).eps * np.max(samples)
 
 
 def test_rader_plan_only_at_odd_primes(cold):
     assert all(grid._rader_plan(n) is None for n in (1, 2, 9, 121, 481, 7680))
-    at, freq, *spectra = grid._rader_plan(7681)
+    at, freq, cos_in, cos_out = grid._rader_plan(7681)
     assert sorted(at) == sorted(set(range(7681)) - {3840})  # every offset from the centre once
     assert np.array_equal(np.unique(freq), np.arange(1, 3841))
-    assert not any(a.flags.writeable for a in (at, freq, *spectra))
+    assert cos_in.size == 3840 // 2 + 1 and np.array_equal(cos_in, cos_out.conj())
+    assert not any(a.flags.writeable for a in (at, freq, cos_in, cos_out))
 
 
 def test_unit_circle_is_correctly_reduced():
     # Within an ulp over a whole turn; np.cos(2 pi k/n) is up to 1.0e-15 off.
     n = 7681
-    cos, sin = grid._unit_circle(np.arange(n), n)
-    eps = np.finfo(float).eps
+    cos = grid._unit_circle(np.arange(n), n)
     with mpmath.workdps(30):
-        turns = [mpmath.mpf(2 * k) / n for k in range(n)]
-        assert np.max(np.abs(cos - [float(mpmath.cospi(x)) for x in turns])) <= eps
-        assert np.max(np.abs(sin - [float(mpmath.sinpi(x)) for x in turns])) <= eps
+        want = [float(mpmath.cospi(mpmath.mpf(2 * k) / n)) for k in range(n)]
+    assert np.max(np.abs(cos - want)) <= np.finfo(float).eps
 
 
 def test_tail_mask():

@@ -12,7 +12,7 @@ from scipy.special import loggamma
 
 from cylspec import specfun, symbol
 from cylspec.errors import CylspecError, PoleError, ThresholdError, ValidationError
-from cylspec.grid import angular_frequencies
+from cylspec.grid import angular_frequencies, multiply
 from cylspec.symbol import (
     CylinderParams,
     ModeIndex,
@@ -339,24 +339,28 @@ def test_shifted_symbol_is_dissipative_below_critical(n, gamma):
 def test_shifted_symbol_parseval_form(n, gamma, p):
     # int (S(D) w) w' dt = (1/2 pi) int xi Im S(xi) |w^(xi)|^2 dxi for
     # S = theta_shifted(params, 0, .) and w = exp(-t^2), w^ = sqrt(pi)
-    # e^{-xi^2/4}.  Left: numpy's complex FFT with the full Hermitian
-    # symbol on the composite 3841-point lattice and the exact w'.  Right:
-    # quad on xi > 0, the integrand being even.  Below p_crit both are
-    # negative, the sign that rules out a decaying subcritical profile.
+    # e^{-xi^2/4}.  Left, with the exact w': numpy's complex FFT with the
+    # full Hermitian symbol, and grid.multiply with its non-negative half,
+    # on the composite 3841-point lattice and on the prime 7681-point one.
+    # Right: quad on xi > 0, the integrand being even.  Below p_crit all
+    # are negative, the sign that rules out a decaying subcritical profile.
     params = CylinderParams(n=n, gamma=gamma, p=p)
-    step = 2.0**-6
-    t = -30.0 + step * np.arange(3841)
-    w = np.exp(-(t**2))
-    s = theta_shifted(params, 0, angular_frequencies(t.size, step))
-    lhs = step * np.sum(np.fft.ifft(s * np.fft.fft(w)).real * (-2.0 * t * w))
+    lhs = []
+    for size, step in ((3841, 2.0**-6), (7681, 2.0**-7)):
+        t = -30.0 + step * np.arange(size)
+        w = np.exp(-(t**2))
+        s = theta_shifted(params, 0, angular_frequencies(size, step))
+        for product in (np.fft.ifft(s * np.fft.fft(w)).real, multiply(s[: size // 2 + 1], w)):
+            lhs.append(step * np.sum(product * (-2.0 * t * w)))
     weighted = quad(
         lambda xi: xi * theta_shifted(params, 0, xi).imag * math.pi * math.exp(-(xi**2) / 2.0),
         0.0,
         np.inf,
     )[0]
     rhs = 2.0 * weighted / (2.0 * math.pi)
-    assert lhs < 0.0 and rhs < 0.0
-    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+    assert rhs < 0.0
+    for value in lhs:
+        assert value < 0.0 and abs(value - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_constant_A_reference():
