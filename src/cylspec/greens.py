@@ -24,10 +24,10 @@ variation-of-constants sweeps, reassembled.  Tests hold them against
 each other.  The quadrature grows its lobe series in blocks of 32
 lobes, evaluating each lobe once, up to a cap of 384.
 
-Two memos let one source pair be swept once: the components of
+Two memos let one source pair be swept once: the components' array of
 :func:`component_solutions` on ``(series, source)``, and the kernel's
 spectrum of :func:`solve_convolution` on ``(series, n, step)``, each a
-``functools.lru_cache`` of 2 entries holding read-only values.  The
+``functools.lru_cache`` of 2 entries holding read-only arrays.  The
 series is keyed by value and the source by identity, since a
 :class:`~cylspec.grid.GridFunction` is immutable and hashes by identity.
 """
@@ -332,6 +332,7 @@ def _two_sided_sweep(u, log_r):
     return out.reshape(log_r.size, u_blocks.size)[:, : u.size]
 
 
+@functools.lru_cache(maxsize=2)
 def component_solutions(greens, h):
     """Per-root particular solutions w_j = k_j * h on h's grid, by variation of constants.
 
@@ -345,49 +346,49 @@ def component_solutions(greens, h):
     but no power of ``r`` exceeds 1 in modulus, so the round-off is
     relative to the local size of ``|k_j| * |u|`` (for the sine, of ``|u|``
     summed to the right), not to the peak.  All roots sweep together, in
-    numpy alone, in float64 for a real source.  The source must decay to
-    1e-10 of its peak at the window's ends.
+    numpy alone.  The source must decay to 1e-10 of its peak at the
+    window's ends.
 
-    Memoized on ``(greens, h)`` for the last 2 pairs, so the solves and
-    the Wronskian of one source pair sweep each source once; every call
-    returns a new list of the shared read-only components.
+    Returns one read-only ``(len(greens.roots), n)`` array, row j for
+    root j, float64 unless some imaginary part is nonzero (the rule of
+    :class:`~cylspec.grid.GridFunction`), so for a real source in every
+    regime.  Memoized on ``(greens, h)`` for the last 2 pairs, so the
+    solves and the Wronskian of one source pair share one sweep each.
     """
-    return list(_components(greens, h))
-
-
-@functools.lru_cache(maxsize=2)
-def _components(greens, h):
-    return tuple(_sweep(greens, h))
+    return _sweep(greens, h)
 
 
 def _sweep(greens, h):
-    """The components of :func:`component_solutions`, computed afresh."""
+    """The array of :func:`component_solutions`, computed afresh."""
     h.require_decay()
     u = h.samples * (h.step * trapezoid_weights(h.n_points))
     roots = greens.roots
     sine = roots[0].sigma == 0.0  # the unstable regime's real pair comes first
     sigmas = np.array([r.sigma for r in roots[int(sine) :]])
-    out = [h.with_samples(w) for w in _two_sided_sweep(u, -h.step * sigmas)]
+    out = _two_sided_sweep(u, -h.step * sigmas)
     if sine:
         pair = 1j * h.step * roots[0].tau * np.array([-1.0, 1.0])
         right = _geometric_scan(np.stack([u[::-1]] * 2), pair)[:, ::-1]
-        out.insert(0, h.with_samples((right[0] - right[1]) / 2j))
+        out = np.concatenate([(right[:1] - right[1:]) / 2j, out])
+    if np.iscomplexobj(out) and not np.any(out.imag):
+        out = np.ascontiguousarray(out.real)
+    out.flags.writeable = False
     return out
 
 
 def solve_ode_system(greens, h):
-    """Reassembled solution sum_j c_j w_j.
+    """Reassembled solution sum_j c_j w_j, over the rows of :func:`component_solutions`.
 
     The quadrature of :func:`solve_convolution`, reached by the per-root
     sweeps instead of one FFT, so the two agree to round-off; the
-    components are what the Wronskian machinery consumes.
+    components' array is what the Wronskian machinery consumes.
     """
     if np.iscomplexobj(h.samples):
         re = solve_ode_system(greens, h.with_samples(h.samples.real))
         im = solve_ode_system(greens, h.with_samples(h.samples.imag))
         return h.with_samples(re.samples + 1j * im.samples)
     comps = component_solutions(greens, h)
-    return h.with_samples(sum(c * w.samples for c, w in zip(greens.coefficients, comps)))
+    return h.with_samples(sum(c * w for c, w in zip(greens.coefficients, comps)))
 
 
 def asymptotic_coefficients(roots, h):

@@ -58,9 +58,14 @@ def multiply(half, v):
     its two parts.  It is the lattice's one multiplier, exact to a
     transform's round-off, for residuals and Krylov products alike:
     scipy's real transforms at ``n``, Bluestein's algorithm at a prime.
+    A complex ``half`` at even ``n`` raises :class:`ValidationError`:
+    ``irfft`` would drop its imaginary part at the Nyquist bin, the
+    frequency that is its own mirror there.
     """
     from scipy import fft  # at first use, not at `import cylspec`
 
+    if np.iscomplexobj(half) and v.size % 2 == 0:
+        raise ValidationError(f"a complex half spectrum needs an odd lattice size, got {v.size}")
     if np.iscomplexobj(v):
         return multiply(half, v.real) + 1j * multiply(half, v.imag)
     return fft.irfft(fft.rfft(v) * half, v.size)

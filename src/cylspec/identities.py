@@ -36,7 +36,7 @@ _CONSISTENCY_TOL = 1e-6
 def _check_consistency(series, w, h, label):
     h.require_real()
     comps = component_solutions(series, h)
-    acc = sum(c * comp.samples for c, comp in zip(series.coefficients, comps))
+    acc = sum(c * comp for c, comp in zip(series.coefficients, comps))
     scale = max(float(np.max(np.abs(w.samples))), 1e-300)
     if float(np.max(np.abs(acc - w.samples))) > _CONSISTENCY_TOL * scale:
         raise ValidationError(
@@ -72,8 +72,7 @@ def wronskian(
     comps_t = _check_consistency(series, w_tilde, h_tilde, "w_tilde")
     step = w.step
     acc = np.zeros(w.n_points)
-    for weight, cj, ctj in zip(weights, comps, comps_t):
-        a, b = cj.samples, ctj.samples
+    for weight, a, b in zip(weights, comps, comps_t):
         acc += weight * (a * np.gradient(b, step) - np.gradient(a, step) * b)
     return w.with_samples(acc)
 
@@ -146,8 +145,7 @@ def pohozaev_check(
     h = solution.with_samples(np.sign(w) * np.abs(w) ** p)
     grad_sum = mass_sum = 0.0
     comps = _sweep(series, h)  # h is new to this call: a memo entry could never be hit
-    for c, sigma, comp in zip(series.coefficients, series.decay_exponents, comps):
-        vals = comp.samples
+    for c, sigma, vals in zip(series.coefficients, series.decay_exponents, comps):
         dvals = np.gradient(vals, step)
         grad_sum += (c / sigma) * trapezoid(dvals * dvals, step)
         mass_sum += (c * sigma) * trapezoid(vals * vals, step)

@@ -5,8 +5,8 @@ The equation is the multiplier form of the profile problem,
 grid and the power nonlinearity acts pointwise.  Each Newton
 linearization ``Theta_0 - kappa - p w^(p-1)`` is the free operator plus
 a localized potential, so GMRES is right-preconditioned by the exact
-inverse ``P = (Theta_0 - kappa)^(-1)``, memoized per parameters and
-lattice, so repeated solves share it: it solves
+inverse ``P = (Theta_0 - kappa)^(-1)``, built per solve from the
+memoized lattice symbol: it solves
 ``(I - p w^(p-1) P) y = r`` with one ``P`` per Krylov product, the step
 is ``P y``, and its residual is the Newton residual.  GMRES solves to
 a small multiple of the squared Newton residual, which keeps Newton's
@@ -35,7 +35,7 @@ guess is solved on full-length vectors by :func:`grid.multiply`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -111,17 +111,6 @@ def _failure(cls, message, history):
     return err
 
 
-@lru_cache(maxsize=16)
-def _operator(params, n, step, folded=False):
-    """Half spectra ``Theta_0 - kappa`` and ``P``'s ``1/(Theta_0 - kappa)``, read-only,
-    memoized; in :func:`grid.fold_spectrum`'s order if ``folded``."""
-    sym_vals = theta_lattice(params, 0, n, step) - params.kappa
-    sym_vals = fold_spectrum(sym_vals, n) if folded else sym_vals
-    inv_vals = 1.0 / sym_vals
-    sym_vals.flags.writeable = inv_vals.flags.writeable = False
-    return sym_vals, inv_vals
-
-
 def solve_profile(
     params: CylinderParams,
     initial_guess: GridFunction,
@@ -143,9 +132,9 @@ def solve_profile(
 
     Each step is ``P y`` for the GMRES solution of ``(I - p w^(p-1) P) y = r``,
     ``P = (Theta_0 - kappa)^(-1)`` being one :func:`grid.multiply` product
-    on a half spectrum built once per parameters and lattice and shared
-    by later solves; the step reuses the ``P y`` of GMRES's closing
-    true-residual product when that ran on the same ``y``.  GMRES
+    on a half spectrum built per solve from the memoized lattice symbol
+    (:func:`~cylspec.symbol.theta_lattice`); the step reuses the ``P y``
+    of GMRES's closing true-residual product when that ran on the same ``y``.  GMRES
     stops at ``FORCING * r * min(r, 1)`` for the step's sup residual
     ``r``, or at ``GMRES_FLOOR * tolerance`` if larger.  Even guesses on symmetric windows
     are solved on the folded half lattice, centre sample weighted ``1/sqrt 2`` in GMRES.
@@ -186,12 +175,13 @@ def solve_profile(
     from scipy.sparse.linalg import LinearOperator
 
     p, n = params.p, w.size
-    sym_vals, inv_vals = _operator(params, n, initial_guess.step, symmetric)
+    sym_vals = theta_lattice(params, 0, n, initial_guess.step) - params.kappa
     product, weight, norm = multiply, np.ones(n), 1.0
     if symmetric:
-        w = fold(0.5 * (w + w[::-1]))
+        sym_vals, w = fold_spectrum(sym_vals, n), fold(0.5 * (w + w[::-1]))
         product, weight, norm = partial(multiply_folded, n=n), np.ones(w.size), np.sqrt(2.0)
         weight[0] = np.sqrt(0.5) if n % 2 else 1.0  # the centre sample
+    inv_vals = 1.0 / sym_vals
 
     def residual(v):
         return product(sym_vals, v) - _odd_power(v, p)

@@ -143,8 +143,7 @@ def test_criterion_05_solver_equivalence_and_order():
         comps = component_solutions(series, hs_grid)
         hs = hs_grid.samples.real
         worst = 0.0
-        for root, wj in zip(series.roots, comps):
-            w = wj.samples.real
+        for root, w in zip(series.roots, comps):
             lap = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / step**2
             resid = lap - root.sigma**2 * w[1:-1] + 2.0 * root.sigma * hs[1:-1]
             worst = max(worst, float(np.max(np.abs(resid))) / root.sigma**3)
@@ -307,11 +306,9 @@ def _shared_potential_flatness():
     size = np.zeros_like(t)
     for root, c, cj, ctj in zip(series.roots, series.coefficients, comps, comps_t):
         weight = abs(c) / abs(complex(root.sigma, root.tau))
-        dt = np.gradient(ctj.samples, step)
-        da = np.gradient(cj.samples, step)
-        size += weight * (
-            np.abs(cj.samples) * np.abs(dt) + np.abs(da) * np.abs(ctj.samples)
-        )
+        dt = np.gradient(ctj, step)
+        da = np.gradient(cj, step)
+        size += weight * (np.abs(cj) * np.abs(dt) + np.abs(da) * np.abs(ctj))
     scale = float(np.max(size))
     return float(np.sum(np.abs(np.diff(tr)))) / scale
 

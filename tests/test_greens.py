@@ -304,8 +304,7 @@ def test_component_ode_residuals():
     comps = component_solutions(series, h)
     step = h.step
     hs = h.samples.real
-    for root, wj in zip(series.roots, comps):
-        w = wj.samples.real
+    for root, w in zip(series.roots, comps):
         lap = (w[2:] - 2 * w[1:-1] + w[:-2]) / step**2
         resid = lap - root.sigma**2 * w[1:-1] + 2 * root.sigma * hs[1:-1]
         bound = 1.0 * root.sigma**3 * step**2 * np.max(np.abs(hs)) + 1e-9
@@ -317,7 +316,7 @@ def test_unstable_component_ode():
     series = build_greens(P08, mode=0, truncation=6)
     comps = component_solutions(series, h)
     tau0 = series.roots[0].tau
-    w = comps[0].samples.real
+    w = comps[0]
     step = h.step
     lap = (w[2:] - 2 * w[1:-1] + w[:-2]) / step**2
     resid = lap + tau0**2 * w[1:-1] + tau0 * h.samples.real[1:-1]
@@ -364,7 +363,7 @@ def test_component_sweep_matches_direct_sum(params, points, step):
         for got, (want, local) in zip(
             component_solutions(series, h), _direct_components(series, h)
         ):
-            err = np.abs(got.samples - want)
+            err = np.abs(got - want)
             assert np.max(err) <= 1e-13 * np.max(np.abs(want))
             # Round-off relative to the local size, so decaying tails keep their digits.
             assert np.all(err <= 1e-13 * local + 1e-300)
@@ -377,7 +376,7 @@ def test_component_sweep_single_root(params):
     h = GridFunction.from_callable(lambda t: np.exp(-0.5 * t**2) + 0j, -8.0, 8.0, 0.125)
     (got,) = component_solutions(series, h)
     ((want, _),) = _direct_components(series, h)
-    assert np.max(np.abs(got.samples - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # The benchmark's spectral sweep: (n, gamma, kappa, mode).
@@ -411,7 +410,7 @@ def test_component_sweep_matches_fft_route_on_prime_lattice():
             else:
                 kernel = np.exp(-complex(root.sigma, root.tau) * np.abs(lag))
             want = fftconvolve(kernel, u)[n - 1 : 2 * n - 1] * h.step
-            assert np.max(np.abs(got.samples - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _real_pair(step=2.0**-7):
@@ -503,24 +502,20 @@ def test_one_transform_pair_per_source_at_the_cyclic_length(cold, monkeypatch, p
         assert np.array_equal(kernel[length - n + 1 :], kernel[n - 1 : 0 : -1])
 
 
-def test_memoized_components_are_fresh_lists_of_read_only_values(cold):
+def test_memoized_components_are_one_read_only_array(cold):
     series = build_greens(P03, 0, truncation=12)
     h, _ = _real_pair()
     first = component_solutions(series, h)
     again = component_solutions(series, h)
-    assert again is not first and again == first  # the same shared components
-    first.clear()
-    assert len(component_solutions(series, h)) == 13
+    assert again is first and first.shape == (13, h.n_points)
     spectrum, length = greens._kernel(series, h.n_points, h.step)
-    for comp in again:
-        with pytest.raises(ValueError):
-            comp.samples[0] = 1.0
+    with pytest.raises(ValueError):
+        again[0][0] = 1.0  # a row, as the callers take them
     with pytest.raises(ValueError):
         spectrum[0] = 1.0
     by_kernel = solve_convolution(series, h)
     clear_memos()
-    for warm, cold_comp in zip(again, component_solutions(series, h)):
-        assert np.array_equal(warm.samples, cold_comp.samples)
+    assert np.array_equal(again, component_solutions(series, h))
     cold_spectrum, cold_length = greens._kernel(series, h.n_points, h.step)
     assert cold_length == length and np.array_equal(cold_spectrum, spectrum)
     assert np.array_equal(solve_convolution(series, h).samples, by_kernel.samples)
@@ -532,7 +527,7 @@ def test_green_memos_are_bounded(cold):
         h, _ = _real_pair(step)
         component_solutions(series, h)
         solve_convolution(series, h)
-    for memo in (greens._components, greens._kernel):
+    for memo in (greens.component_solutions, greens._kernel):
         assert memo.cache_info().currsize == memo.cache_parameters()["maxsize"] == 2
 
 
@@ -541,22 +536,29 @@ def test_pohozaev_check_leaves_the_components_memo_empty(cold):
     pohozaev_check(
         CylinderParams(n=3, gamma=0.5), GridFunction.from_callable(lambda t: 1.0 / np.cosh(t))
     )
-    info = greens._components.cache_info()
+    info = greens.component_solutions.cache_info()
     assert info.currsize == info.hits == info.misses == 0
 
 
-@pytest.mark.parametrize("params", [P03, P08], ids=["stable", "unstable"])
+@pytest.mark.parametrize("params", [P03, P00, P08], ids=["stable", "zero", "unstable"])
 def test_memoized_solves_match_cold_ones(cold, params):
     # A complex source splits into parts made afresh on each call; the
-    # unstable regime's first component is the one-sided sine.
+    # unstable regime's first component is the one-sided sine.  The
+    # components are one read-only (roots, n) array per source, shared by
+    # a memo hit: float64 for the real source, its sine row included, and
+    # complex128 for the complex one.
     series = build_greens(params, 0, truncation=8)
     real, _ = _real_pair()
     source = real.with_samples(real.samples * (1.0 + 0.5j))
 
     def run():
-        comps = component_solutions(series, real) + component_solutions(series, source)
+        comps = component_solutions(series, real), component_solutions(series, source)
+        for array, dtype in zip(comps, (np.float64, np.complex128)):
+            assert array.shape == (9, real.n_points) and array.dtype == dtype
+            assert not array.flags.writeable
+        assert component_solutions(series, real) is comps[0]
         solves = solve_ode_system(series, source), solve_convolution(series, source)
-        return [g.samples for g in comps + list(solves)]
+        return [*comps[0], *comps[1], *(g.samples for g in solves)]
 
     first, warm = run(), run()
     clear_memos()

@@ -172,6 +172,17 @@ def test_multiply_matches_complex_transform(n, dtype):
         assert np.max(np.abs(got - want)) <= 8.0 * scale
 
 
+def test_multiply_rejects_a_complex_half_spectrum_at_even_n():
+    # irfft would drop Im S at the Nyquist bin, where theta_shifted at
+    # (3, 0.5), p 1.8 on 7680 points has Im S = -0.25.
+    n, step = 7680, 2.0**-7
+    xi = angular_frequencies(n, step)[: n // 2 + 1]
+    half = theta_shifted(CylinderParams(n=3, gamma=0.5, p=1.8), 0, xi)
+    assert half[-1].imag != 0.0
+    with pytest.raises(ValidationError):
+        multiply(half, np.ones(n))
+
+
 def _dft_multiply(half, v):
     """``multiply(half, v)`` at odd ``n``: the mirrored symbol's circulant kernel
     by a 30-digit DFT, rounded to 2^-100 and applied in integer arithmetic.  The
@@ -398,12 +409,8 @@ _DTYPE_CASES = {
     "with_samples_zero_imag": (lambda _: _H.with_samples(_H.samples - 0j).samples, np.float64),
     "solve_convolution": (lambda _: solve_convolution(_series(0.3), _H).samples, np.float64),
     "solve_ode_system": (lambda _: solve_ode_system(_series(0.3), _H).samples, np.float64),
-    "components_stable": (
-        lambda _: component_solutions(_series(0.3), _H)[0].samples, np.float64
-    ),
-    "components_unstable": (
-        lambda _: component_solutions(_series(0.8), _H)[0].samples, np.float64
-    ),
+    "components_stable": (lambda _: component_solutions(_series(0.3), _H), np.float64),
+    "components_unstable": (lambda _: component_solutions(_series(0.8), _H), np.float64),
     "apply_symbol": (
         lambda _: apply_symbol(CylinderParams(n=3, gamma=0.5), 0, _H).samples, np.float64
     ),
@@ -417,7 +424,7 @@ _DTYPE_CASES = {
         lambda _: solve_convolution(_series(0.3), _TURNED).samples, np.complex128
     ),
     "complex_components": (
-        lambda _: component_solutions(_series(0.3), _TURNED)[0].samples, np.complex128
+        lambda _: component_solutions(_series(0.3), _TURNED), np.complex128
     ),
 }
 

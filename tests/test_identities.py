@@ -165,11 +165,9 @@ def test_shared_potential_constancy():
     size = np.zeros_like(t)
     for root, c, cj, ctj in zip(series.roots, series.coefficients, comps, comps_t):
         weight = abs(c) / abs(complex(root.sigma, root.tau))
-        dt = np.gradient(ctj.samples, step)
-        da = np.gradient(cj.samples, step)
-        size += weight * (
-            np.abs(cj.samples) * np.abs(dt) + np.abs(da) * np.abs(ctj.samples)
-        )
+        dt = np.gradient(ctj, step)
+        da = np.gradient(cj, step)
+        size += weight * (np.abs(cj) * np.abs(dt) + np.abs(da) * np.abs(ctj))
     scale = float(np.max(size))
     total_variation = float(np.sum(np.abs(np.diff(tr))))
     assert total_variation <= 1e-5 * scale
