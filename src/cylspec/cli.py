@@ -5,8 +5,10 @@ job's config, runs one computation, and writes one artifact, a CSV table
 or a JSON document, with the full configuration echoed inside.  Output
 is deterministic for a fixed config: summation orders are fixed and
 nothing reads the clock.  Exit codes: 0 on success, 2 for a rejected
-configuration, 3 for a numerical failure, the failing error class named
-in a JSON report on stdout.
+configuration or an input file that cannot be read or is not a lattice
+file (a ``t,re,im`` table on a uniform ``t`` column, or the JSON form),
+3 for a numerical failure, the failing error class named in a JSON
+report on stdout.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,8 +51,8 @@ def _load_grid(path):
             loaded, _ = GridFunction.from_json(path)
             return loaded
         return GridFunction.from_csv(path)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"input file not found: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"input file not found or unreadable: {exc}") from exc
 
 
 def _default_guess(cfg):
@@ -153,18 +155,9 @@ def _job_pohozaev(cfg):
         solution = outcome.solution
         report.update(outcome.as_metadata())
     checked = pohozaev_check(cfg.params, solution, truncation=cfg.truncation)
-    gradient, mass, nonlinear = checked.scaled_triple(cfg.params)
-    report.update(
-        {
-            "grad_sum": checked.grad_sum,
-            "mass_sum": checked.mass_sum,
-            "rhs_integral": checked.rhs_integral,
-            "relative_spread": checked.relative_spread,
-            "scaled_gradient": gradient,
-            "scaled_mass": mass,
-            "scaled_nonlinear": nonlinear,
-        }
-    )
+    report.update(asdict(checked))
+    keys = ("scaled_gradient", "scaled_mass", "scaled_nonlinear")
+    report.update(zip(keys, checked.scaled_triple(cfg.params)))
     return JobResult(report=report)
 
 
@@ -196,15 +189,7 @@ def _job_frobenius(cfg):
         window=tuple(cfg.window) if cfg.window else None,
         candidate_roots=candidates,
     )
-    report = {
-        "sigma": fit.sigma,
-        "tau": fit.tau,
-        "amplitude_cos": fit.amplitude_cos,
-        "amplitude_sin": fit.amplitude_sin,
-        "residual": fit.residual,
-        "window": [fit.window[0], fit.window[1]],
-    }
-    return JobResult(report=report)
+    return JobResult(report=asdict(fit))
 
 
 _HANDLERS = {

@@ -5,6 +5,13 @@ one of these instead.  The CLI maps ``ValidationError`` to exit code 2 and
 every other ``CylspecError`` to exit code 3.
 """
 
+__all__ = [
+    "CylspecError", "ValidationError", "DomainError", "PoleError", "NoRootError",
+    "ThresholdError", "IncompleteError", "DegenerateRootError", "QuadratureError",
+    "WindowError", "GridMismatchError", "DecayHypothesisError", "DivergenceError",
+    "NegativityError", "NoFitError",
+]
+
 
 class CylspecError(Exception):
     """Base class for all toolkit errors."""

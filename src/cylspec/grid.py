@@ -75,23 +75,19 @@ def fold(v):
     """The ``(n + 1)//2`` independent samples of an even n-point ``v``: at an odd prime
     ``n`` the centre ``v[m]``, then ``v[m + g^q]`` for ``q < m`` in Rader's order
     (:func:`_rader_plan`), elsewhere ``v[n//2:]``.  :func:`unfold` inverts it."""
-    plan, m = _rader_plan(v.size), v.size // 2
-    return v[m:].copy() if plan is None else np.concatenate([v[m : m + 1], v[plan[0][:m]]])
+    return v[_rader_plan(v.size)[0]]
 
 
 def unfold(f, n):
     """The even n-point vector whose :func:`fold` is ``f``."""
-    plan, out = _rader_plan(n), np.empty(n)
-    if plan is None:
-        return np.concatenate([f[::-1][: n // 2], f])
-    out[n // 2], out[plan[0]] = f[0], np.tile(f[1:], 2)
+    index, out = _rader_plan(n)[0], np.empty(n, f.dtype)
+    out[index] = out[n - 1 - index] = f  # each sample and its mirror
     return out
 
 
 def fold_spectrum(half, n):
     """``half`` in :func:`multiply_folded`'s order: 0, then ``g^-p`` (``p < m``) at prime ``n``."""
-    plan = _rader_plan(n)
-    return half if plan is None else np.concatenate([half[:1], half[plan[1][: n // 2]]])
+    return half[_rader_plan(n)[1]]
 
 
 def multiply_folded(half, f, n):
@@ -100,10 +96,10 @@ def multiply_folded(half, f, n):
     and a convolution of length ``(n - 1)/2`` on ``f`` as stored."""
     from scipy import fft
 
-    plan = _rader_plan(n)
-    if plan is None:
+    cos_in, cos_out = _rader_plan(n)[2:]
+    if cos_in is None:
         return fold(multiply(half, unfold(f, n)))
-    cos_in, cos_out, m, even = plan[2], plan[3], n // 2, f[1:]
+    m, even = n // 2, f[1:]
     spec = half[1:] * (f[0] + fft.irfft(fft.rfft(even) * cos_in, m))
     spec0 = half[0] * (f[0] + 2.0 * np.sum(even))
     back = fft.irfft(fft.rfft(spec) * cos_out, m)
@@ -140,23 +136,28 @@ def _unit_circle(k, n):
 
 @lru_cache(maxsize=16)
 def _rader_plan(n):
-    """Rader's map of :func:`fold` and :func:`multiply_folded` at an odd prime ``n``, else None.
+    """The layout of :func:`fold` and :func:`fold_spectrum`, and Rader's kernels at an odd prime.
 
-    With ``g`` the least primitive root mod ``n`` and ``m = (n - 1)/2``,
+    Returns the lattice index of each stored sample, the half-spectrum
+    bin of each stored frequency in the same order, and the kernel's
+    spectrum, conjugated for the correlation and plain for the
+    convolution, all read-only.  Off the odd primes the indices are
+    ``n//2 + k``, the bins ``k`` and the kernels None.  At an odd prime,
+    with ``g`` the least primitive root mod ``n`` and ``m = (n - 1)/2``,
     the nonzero offsets from the centre sample ``m`` are ``+-g^q``,
     ``0 <= q < m`` (``g^m = -1``), and ``cos(2 pi g^q g^-p / n)`` depends on
     ``q - p`` only.  So an even vector's transform ``sum_k e_k cos(2 pi jk/n)``
     is a cyclic correlation of length ``m`` with the kernel
-    ``2 cos(2 pi g^q/n)``, and the way back the matching convolution.
-    Returns the lattice index of the offset ``g^q`` (``q < n - 1``), the
-    half-spectrum bin of the frequency ``g^-p``, and the kernel's
-    spectrum, conjugated for the correlation and plain for the
-    convolution, all read-only.  Memoized per ``n``.
+    ``2 cos(2 pi g^q/n)``, and the way back the matching convolution.  The
+    samples are the centre, then the offsets ``g^q``; the bins 0, then those
+    of the frequencies ``g^-p``.  Memoized per ``n``.
     """
     from scipy import fft
 
     if n < 3 or _prime_factors(n) != [n]:
-        return None
+        index, bins = n // 2 + np.arange((n + 1) // 2), np.arange(n // 2 + 1)
+        index.flags.writeable = bins.flags.writeable = False
+        return index, bins, None, None
     factors = _prime_factors(n - 1)
     g = next(g for g in range(2, n) if all(pow(g, (n - 1) // f, n) != 1 for f in factors))
     powers = np.ones(1, dtype=np.int64)
@@ -164,9 +165,10 @@ def _rader_plan(n):
         powers = np.concatenate([powers, powers * pow(g, powers.size, n) % n])
     powers = powers[: n - 1]  # g^q mod n
     m = (n - 1) // 2
-    inverse = powers[-np.arange(n - 1)]  # g^-p mod n
+    inverse = powers[-np.arange(m)]  # g^-p mod n
     spec = fft.rfft(2.0 * _unit_circle(powers[:m], n))
-    plan = ((m + powers) % n, np.minimum(inverse, n - inverse), spec.conj(), spec)
+    index = np.concatenate([[m], (m + powers[:m]) % n])
+    plan = (index, np.concatenate([[0], np.minimum(inverse, n - inverse)]), spec.conj(), spec)
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -351,26 +353,27 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            # Leading '#' lines hold a JSON metadata echo; values live below.
-            header = None
-            reader = csv.reader(fh)
-            for row in reader:
-                if row and row[0].startswith("#"):
-                    continue
-                header = row
-                break
-            if header != list(_CSV_HEADER):
-                raise ValidationError(f"expected header t,re,im, got {header}")
-            t = []
-            vals = []
-            for row in reader:
-                t.append(float(row[0]))
-                vals.append(complex(float(row[1]), float(row[2])))
-        if len(t) < 2:
+        """Load a ``t,re,im`` table; its ``t`` column must be uniform within ``1e-9 * step``."""
+        rows = None
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                # Leading '#' lines hold a JSON metadata echo; values live below.
+                header = next((row for row in reader if not (row and row[0].startswith("#"))), None)
+                if header == list(_CSV_HEADER):
+                    rows = [(float(t), complex(float(re), float(im))) for t, re, im in reader]
+        except (ValueError, csv.Error) as exc:  # not text, or a row without exactly three numbers
+            raise ValidationError(f"malformed CSV lattice file {path}: {exc}") from exc
+        if rows is None:
+            raise ValidationError(f"expected header t,re,im, got {header}")
+        if len(rows) < 2:
             raise ValidationError("need at least two samples")
+        t, vals = zip(*rows)
         step = (t[-1] - t[0]) / (len(t) - 1)
-        return cls(t_min=t[0], t_max=t[-1], step=step, samples=np.array(vals))
+        out = cls(t_min=t[0], t_max=t[-1], step=step, samples=np.array(vals))
+        if not np.all(np.abs(np.array(t) - out.t) <= 1e-9 * step):
+            raise ValidationError(f"the t column of {path} is not uniform with step {step!r}")
+        return out
 
     def json_doc(self, metadata):
         """The JSON form: lattice, metadata, real and imaginary parts."""
@@ -388,8 +391,14 @@ class GridFunction:
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
-            payload = json.load(fh)
-        g = payload["grid"]
-        samples = np.array(payload["re"]) + 1j * np.array(payload["im"])
-        out = cls(t_min=g["t_min"], t_max=g["t_max"], step=g["step"], samples=samples)
+            try:
+                payload = json.load(fh)
+                g, re, im = payload["grid"], np.array(payload["re"]), np.array(payload["im"])
+                if re.shape != im.shape:
+                    raise ValidationError(f"{path}: re and im hold {re.size} and {im.size} values")
+                out = cls(g["t_min"], g["t_max"], g["step"], re + 1j * im)
+            except ValidationError:
+                raise
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValidationError(f"{path} is not a lattice document: {exc!r}") from exc
         return out, payload.get("metadata", {})

@@ -334,6 +334,27 @@ def test_real_only_jobs_reject_complex_files(tmp_path, capsys):
     assert code == 0
 
 
+def test_malformed_input_files_exit_2(tmp_path, capsys):
+    # Lattice files from outside the program, and paths that cannot be read,
+    # end in the JSON error report with exit code 2, not in a traceback.
+    files = {
+        "abc.csv": "t,re,im\n0,1,0\n0.5,abc,0\n1,3,0\n",
+        "uneven.csv": "t,re,im\n0,1,0\n0.1,2,0\n0.5,3,0\n1.0,4,0\n",
+        "no-im.json": json.dumps({"grid": {"t_min": 0.0, "t_max": 1.0, "step": 0.5},
+                                  "re": [1.0, 2.0, 3.0]}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for path in [*(tmp_path / name for name in files), tmp_path]:
+        code, out = _run(
+            capsys,
+            ["solve-linear", "--n", "3", "--gamma", "0.5", "--kappa", "0.3",
+             "--source", str(path)],
+        )
+        assert code == 2, path.name
+        assert json.loads(out)["error"] == "ValidationError", path.name
+
+
 def test_solve_linear_rejects_a_wide_source(tmp_path, capsys):
     # solve-linear, like the library, needs a source at 1e-10 of its peak
     # at the window's ends; --tolerance does not loosen that.

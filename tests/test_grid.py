@@ -1,5 +1,6 @@
 """Grid container: lattice invariants, decay checks, round-trips."""
 
+import json
 import math
 
 import mpmath
@@ -107,6 +108,41 @@ def test_csv_header_is_checked(tmp_path):
     path.write_text("x,y,z\n0,1,2\n1,3,4\n")
     with pytest.raises(ValidationError):
         GridFunction.from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"t,re,im\n0,1,0\n0.5,abc,0\n1,3,0\n",
+        b"t,re,im\n0,1,0\n0.5,2\n1,3,0\n",
+        b"t,re,im\n0,1,0\n0.1,2,0\n0.5,3,0\n1.0,4,0\n",
+        b"\xff\xfet,re,im\n0,1,0\n1,3,0\n",
+    ],
+    ids=["non-numeric", "missing-column", "non-uniform", "not-utf-8"],
+)
+def test_malformed_csv_lattice_files_are_rejected(tmp_path, text):
+    # The non-uniform t column would otherwise load as 0, 1/3, 2/3, 1.
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    with pytest.raises(ValidationError):
+        GridFunction.from_csv(path)
+
+
+def test_malformed_json_lattice_files_are_rejected(tmp_path):
+    doc = _gaussian(t_max=4.0, step=0.5).json_doc({})
+    path = tmp_path / "bad.json"
+    for key in ("grid", "re", "im"):
+        path.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
+        with pytest.raises(ValidationError):
+            GridFunction.from_json(path)
+    for text in (
+        "{",
+        json.dumps({**doc, "grid": {**doc["grid"], "t_min": "a"}}),
+        json.dumps({**doc, "im": [5.0]}),  # would broadcast to every sample
+    ):
+        path.write_text(text)
+        with pytest.raises(ValidationError):
+            GridFunction.from_json(path)
 
 
 def test_json_round_trip_with_metadata(tmp_path):
@@ -276,7 +312,7 @@ def test_folded_product_is_multiply_on_even_vectors(n):
     v = v + v[::-1]
     got = grid.unfold(grid.multiply_folded(grid.fold_spectrum(half, n), grid.fold(v), n), n)
     full = multiply(half, v)
-    if grid._rader_plan(n) is None:
+    if grid._rader_plan(n)[2] is None:
         assert np.array_equal(got, grid.unfold(grid.fold(full), n))
     else:
         scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(v))
@@ -316,12 +352,19 @@ def test_multiply_round_trip_keeps_decaying_tails(dim, gamma, step):
 
 
 def test_rader_plan_only_at_odd_primes(cold):
-    assert all(grid._rader_plan(n) is None for n in (1, 2, 9, 121, 481, 7680))
-    at, freq, cos_in, cos_out = grid._rader_plan(7681)
-    assert sorted(at) == sorted(set(range(7681)) - {3840})  # every offset from the centre once
-    assert np.array_equal(np.unique(freq), np.arange(1, 3841))
+    # Every size has the fold's layout; no kernel off the odd primes.
+    for n in (1, 2, 9, 121, 481, 7680):
+        index, bins, cos_in, cos_out = grid._rader_plan(n)
+        assert cos_in is None and cos_out is None
+        assert np.array_equal(index, n // 2 + np.arange((n + 1) // 2))
+        assert np.array_equal(bins, np.arange(n // 2 + 1))
+        assert not (index.flags.writeable or bins.flags.writeable)
+    index, bins, cos_in, cos_out = grid._rader_plan(7681)
+    assert index[0] == 3840  # the centre, then every offset or its mirror once
+    assert np.array_equal(np.sort(np.concatenate([index, 7680 - index[1:]])), np.arange(7681))
+    assert np.array_equal(np.unique(bins), np.arange(3841))
     assert cos_in.size == 3840 // 2 + 1 and np.array_equal(cos_in, cos_out.conj())
-    assert not any(a.flags.writeable for a in (at, freq, cos_in, cos_out))
+    assert not any(a.flags.writeable for a in (index, bins, cos_in, cos_out))
 
 
 def test_unit_circle_is_correctly_reduced():

@@ -58,13 +58,13 @@ def test_even_guess_yields_even_solution():
 
 
 def test_composite_lattice_solves_on_the_natural_half_lattice(cold):
-    # 3841 points is 23 * 167: no Rader plan, so the folded product unfolds,
+    # 3841 points is 23 * 167: no Rader kernel, so the folded product unfolds,
     # multiplies and folds.  The solution is exactly even, solves the
     # equation on the whole lattice, and matches the 7681-point one.
     params = CylinderParams(n=3, gamma=0.5, kappa=0.3)
     coarse = solve_profile(params, _grid(lambda t: 0.5 / np.cosh(t), step=2.0**-6))
     w = coarse.solution.samples
-    assert coarse.converged and w.size == 3841 and cylspec.grid._rader_plan(3841) is None
+    assert coarse.converged and w.size == 3841 and cylspec.grid._rader_plan(3841)[2] is None
     assert np.array_equal(w, w[::-1])
     half = theta_lattice(params, 0, w.size, 2.0**-6) - params.kappa
     assert np.max(np.abs(multiply(half, w) - w**params.p)) <= 1e-10
