@@ -14,10 +14,9 @@ applies a symbol given on the non-negative frequencies, real and even as
 :func:`~cylspec.symbol.theta_lattice` returns it or Hermitian, by
 ``scipy.fft``'s real transforms at ``n``, exactly to a transform's
 round-off, so residuals, Krylov products and anything whose tails are read
-share it.  An even vector is also held as its ``(n + 1)//2`` independent
-samples (:func:`fold`); at an odd prime size, in Rader's order,
-:func:`multiply_folded` runs its transforms at ``(n - 1)/2`` on them as
-stored.
+share it.  A solve stores its vectors in a :class:`Sector`: the full
+lattice, or the even vectors as their ``(n + 1)//2`` independent samples,
+multiplied by Rader's map at an odd prime size.
 """
 
 from __future__ import annotations
@@ -71,39 +70,58 @@ def multiply(half, v):
     return fft.irfft(fft.rfft(v) * half, v.size)
 
 
-def fold(v):
-    """The ``(n + 1)//2`` independent samples of an even n-point ``v``: at an odd prime
-    ``n`` the centre ``v[m]``, then ``v[m + g^q]`` for ``q < m`` in Rader's order
-    (:func:`_rader_plan`), elsewhere ``v[n//2:]``.  :func:`unfold` inverts it."""
-    return v[_rader_plan(v.size)[0]]
+class Sector:
+    """A solve's lattice vectors as stored: all ``n`` samples, or (``even``) the
+    ``(n + 1)//2`` independent samples of an even vector, at an odd prime ``n`` the centre
+    ``v[m]``, then ``v[m + g^q]`` for ``q < m`` in Rader's order (:func:`_rader_plan`),
+    elsewhere ``v[n//2:]``."""
 
+    def __init__(self, n, even):
+        self.n, self.even = n, even
+        self._plan = _rader_plan(n) if even else None
 
-def unfold(f, n):
-    """The even n-point vector whose :func:`fold` is ``f``."""
-    index, out = _rader_plan(n)[0], np.empty(n, f.dtype)
-    out[index] = out[n - 1 - index] = f  # each sample and its mirror
-    return out
+    def restrict(self, v):
+        """The stored samples of ``v``, on the even sector of its even part."""
+        return (0.5 * (v + v[::-1]))[self._plan[0]] if self.even else v
 
+    def extend(self, f):
+        """The lattice vector whose :meth:`restrict` is ``f``."""
+        if not self.even:
+            return f
+        index, out = self._plan[0], np.empty(self.n, f.dtype)
+        out[index] = out[self.n - 1 - index] = f  # each sample and its mirror
+        return out
 
-def fold_spectrum(half, n):
-    """``half`` in :func:`multiply_folded`'s order: 0, then ``g^-p`` (``p < m``) at prime ``n``."""
-    return half[_rader_plan(n)[1]]
+    def spectrum(self, half):
+        """``half`` in :meth:`apply`'s order (even sector, prime ``n``: 0, then ``g^-p``)."""
+        return half[self._plan[1]] if self.even else half
 
+    def apply(self, half, f):
+        """:func:`multiply` on stored samples ``f``, ``half`` in :meth:`spectrum`'s order: on the
+        even sector at a prime ``n`` Rader's map, a cyclic correlation and a convolution of
+        length ``(n - 1)/2``."""
+        from scipy import fft
 
-def multiply_folded(half, f, n):
-    """:func:`multiply` on :func:`fold`'s samples ``f`` of an even n-point vector, ``half``
-    in :func:`fold_spectrum`'s order: at a prime ``n`` Rader's map, a cyclic correlation
-    and a convolution of length ``(n - 1)/2`` on ``f`` as stored."""
-    from scipy import fft
+        if not self.even:
+            return multiply(half, f)
+        index, _, cos_in, cos_out = self._plan
+        if cos_in is None:
+            return multiply(half, self.extend(f))[index]
+        m, offsets = self.n // 2, f[1:]
+        spec = half[1:] * (f[0] + fft.irfft(fft.rfft(offsets) * cos_in, m))
+        spec0 = half[0] * (f[0] + 2.0 * np.sum(offsets))
+        back = fft.irfft(fft.rfft(spec) * cos_out, m)
+        return np.concatenate([[spec0 + 2.0 * np.sum(spec)], spec0 + back]) / self.n
 
-    cos_in, cos_out = _rader_plan(n)[2:]
-    if cos_in is None:
-        return fold(multiply(half, unfold(f, n)))
-    m, even = n // 2, f[1:]
-    spec = half[1:] * (f[0] + fft.irfft(fft.rfft(even) * cos_in, m))
-    spec0 = half[0] * (f[0] + 2.0 * np.sum(even))
-    back = fft.irfft(fft.rfft(spec) * cos_out, m)
-    return np.concatenate([[spec0 + 2.0 * np.sum(spec)], spec0 + back]) / n
+    def weights(self):
+        """``(weight, norm)``, ``norm * ||weight * restrict(v)||_2 == ||v||_2`` for ``v`` in the
+        sector: an even vector's stored sample stands for itself and its mirror, but the centre
+        of an odd ``n`` for itself only."""
+        if not self.even:
+            return np.ones(self.n), 1.0
+        weight = np.ones((self.n + 1) // 2)
+        weight[0] = np.sqrt(0.5) if self.n % 2 else 1.0  # the centre sample
+        return weight, np.sqrt(2.0)
 
 
 def _prime_factors(k):
@@ -136,7 +154,7 @@ def _unit_circle(k, n):
 
 @lru_cache(maxsize=16)
 def _rader_plan(n):
-    """The layout of :func:`fold` and :func:`fold_spectrum`, and Rader's kernels at an odd prime.
+    """The even :class:`Sector`'s layout, and Rader's kernels at an odd prime.
 
     Returns the lattice index of each stored sample, the half-spectrum
     bin of each stored frequency in the same order, and the kernel's

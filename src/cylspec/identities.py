@@ -13,7 +13,7 @@ Derivatives are centered differences (``np.gradient``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -161,16 +161,8 @@ def pohozaev_check(
     mass = mass_sum + 4.0 * norm_h * s1 - 8.0 * norm_dh * s3
     rhs = float(trapezoid(np.abs(w) ** (p + 1.0), step))
 
-    triple = (
-        grad / (2.0 * params.gamma),
-        mass / (2.0 * (params.n - params.gamma)),
-        rhs / params.n,
-    )
+    report = PohozaevReport(float(grad), float(mass), rhs, relative_spread=0.0)
+    triple = report.scaled_triple(params)
     mean = sum(triple) / 3.0
     spread = 0.0 if mean == 0.0 else (max(triple) - min(triple)) / abs(mean)
-    return PohozaevReport(
-        grad_sum=float(grad),
-        mass_sum=float(mass),
-        rhs_integral=rhs,
-        relative_spread=float(spread),
-    )
+    return replace(report, relative_spread=float(spread))

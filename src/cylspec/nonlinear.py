@@ -24,23 +24,19 @@ spectra ``Theta_0 - kappa`` and ``1/(Theta_0 - kappa)``.  A multiplier
 whose round-off reached the low frequencies, as a fast-length circulant
 built on the sampled kernel does, would leave noise in the decaying
 tails that the tail-rate checks read.  An even guess on a symmetric window
-is solved exactly even on its ``(n + 1)//2`` independent samples
-(:func:`grid.fold`), whose product :func:`grid.multiply_folded` runs
-Rader's map at a prime lattice size; with the centre one weighted by
-``1/sqrt 2`` and ``atol`` divided by ``sqrt 2``, GMRES has the full
-lattice's stop and Krylov spaces and half its Arnoldi basis.  Any other
-guess is solved on full-length vectors by :func:`grid.multiply`.
+runs on the even :class:`grid.Sector` and its solution is exactly even;
+any other guess runs on the full lattice, where a translated guess
+converges to the translated profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import DivergenceError, NegativityError, ValidationError, WindowError
-from .grid import GridFunction, fold, fold_spectrum, multiply, multiply_folded, unfold
+from .grid import GridFunction, Sector
 from .symbol import CylinderParams, theta_lattice
 
 __all__ = ["NewtonStep", "SolveReport", "solve_profile"]
@@ -136,8 +132,7 @@ def solve_profile(
     (:func:`~cylspec.symbol.theta_lattice`); the step reuses the ``P y``
     of GMRES's closing true-residual product when that ran on the same ``y``.  GMRES
     stops at ``FORCING * r * min(r, 1)`` for the step's sup residual
-    ``r``, or at ``GMRES_FLOOR * tolerance`` if larger.  Even guesses on symmetric windows
-    are solved on the folded half lattice, centre sample weighted ``1/sqrt 2`` in GMRES.
+    ``r``, or at ``GMRES_FLOOR * tolerance`` if larger.
     ``P`` is bounded for every accepted ``0 <= kappa < Lambda``:
     with ``Theta_0(xi) = 2^(2 gamma) |Gamma(A + i xi/2)|^2 / |Gamma(B + i xi/2)|^2``,
     ``A > B > 0``, the product form of Gamma gives on real frequencies
@@ -174,17 +169,12 @@ def solve_profile(
 
     from scipy.sparse.linalg import LinearOperator
 
-    p, n = params.p, w.size
-    sym_vals = theta_lattice(params, 0, n, initial_guess.step) - params.kappa
-    product, weight, norm = multiply, np.ones(n), 1.0
-    if symmetric:
-        sym_vals, w = fold_spectrum(sym_vals, n), fold(0.5 * (w + w[::-1]))
-        product, weight, norm = partial(multiply_folded, n=n), np.ones(w.size), np.sqrt(2.0)
-        weight[0] = np.sqrt(0.5) if n % 2 else 1.0  # the centre sample
-    inv_vals = 1.0 / sym_vals
+    p, sector = params.p, Sector(w.size, symmetric)
+    sym_vals = sector.spectrum(theta_lattice(params, 0, w.size, initial_guess.step) - params.kappa)
+    inv_vals, w, (weight, norm) = 1.0 / sym_vals, sector.restrict(w), sector.weights()
 
     def residual(v):
-        return product(sym_vals, v) - _odd_power(v, p)
+        return sector.apply(sym_vals, v) - _odd_power(v, p)
 
     r = residual(w)
     rnorm = float(np.max(np.abs(r)))
@@ -203,7 +193,7 @@ def solve_profile(
 
         def matvec(z):
             y = z / weight
-            last[:] = y, product(inv_vals, y)
+            last[:] = y, sector.apply(inv_vals, y)
             return (y - pot * last[1]) * weight
 
         op = LinearOperator((w.size, w.size), matvec=matvec, dtype=np.float64)
@@ -225,7 +215,7 @@ def solve_profile(
         # GMRES ends on the true residual of the y it returns, so P y is
         # usually the last product's.
         y = z / weight
-        delta = last[1] if np.array_equal(y, last[0]) else product(inv_vals, y)
+        delta = last[1] if np.array_equal(y, last[0]) else sector.apply(inv_vals, y)
         alpha, accepted, neg_left = 1.0, False, NEGATIVITY_RETRIES
         for _ in range(MAX_HALVINGS + 1):
             cand = w - alpha * delta
@@ -252,7 +242,7 @@ def solve_profile(
             )
         w, r, rnorm = cand, rc, rcn
 
-    solution = initial_guess.with_samples(unfold(w, n) if symmetric else w)
+    solution = initial_guess.with_samples(sector.extend(w))
     trivial = float(np.max(np.abs(w))) <= 1e-10 * peak0
     if not trivial and solution.decay_margin() > DECAY:
         margin = f"{solution.decay_margin():.3e} of its peak at the window's ends"

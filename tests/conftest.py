@@ -6,8 +6,8 @@ from cylspec import greens, grid, identities, indicial, symbol
 
 # Every memo in the package keyed on its arguments: the certified roots
 # per (params, mode), the lattice symbol per (n, gamma, mode, lattice
-# size, step), the even fold's layout per lattice size (with Rader's
-# kernels at odd primes), the Green's series' components array per
+# size, step), the even ``grid.Sector``'s layout per lattice size (with
+# Rader's kernels at odd primes), the Green's series' components array per
 # (series, source) and its convolution kernel's spectrum at the cyclic
 # length next_fast_len(2n - 1) per (series, n, step), and the weighted
 # Wronskian per (series, w, w_tilde, h, h_tilde).

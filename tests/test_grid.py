@@ -262,7 +262,7 @@ def test_multiply_matches_a_30_digit_dft(n):
 
 
 def _long_double_even_multiply(half, v):
-    """``multiply(half, v)`` on even ``v``, in :func:`grid.fold`'s natural order:
+    """``multiply(half, v)`` on even ``v``, in the even :class:`grid.Sector`'s natural order:
     the cosine transform there and back as long-double sums, with the cosines
     of ``2 pi r/n`` from one table."""
     n, ld = v.size, np.longdouble
@@ -279,7 +279,7 @@ def _long_double_even_multiply(half, v):
 
 @pytest.mark.parametrize("n", [3, 5, 13, 121, 241, 3841, 7681])
 def test_multiply_folded_matches_an_extended_precision_dft(n):
-    # The folded product on the even half lattice: Rader's order at the
+    # The product on the even sector: Rader's order at the
     # primes, the natural one at 121 and 3841.  Up to 241 against the
     # 30-digit DFT; beyond, where that takes minutes, against long-double
     # sums, themselves checked against the 30-digit DFT at 241.  (The
@@ -288,7 +288,8 @@ def test_multiply_folded_matches_an_extended_precision_dft(n):
     half = theta_lattice(CylinderParams(n=4, gamma=0.75), 0, n, 2.0**-7)
     v = np.random.default_rng(n).standard_normal(n)
     v = v + v[::-1]
-    got = grid.unfold(grid.multiply_folded(grid.fold_spectrum(half, n), grid.fold(v), n), n)
+    sector = grid.Sector(n, True)
+    got = sector.extend(sector.apply(sector.spectrum(half), sector.restrict(v)))
     scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(v))
     if n <= 241:
         want = _dft_multiply(half, v).real
@@ -303,32 +304,46 @@ def test_multiply_folded_matches_an_extended_precision_dft(n):
         assert float(np.max(np.abs(got[n // 2 :] - ld))) <= 4.0 * scale
 
 
-@pytest.mark.parametrize("n", [3, 5, 9, 13, 121, 241, 3841, 7681, 15361])
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 13, 121, 241, 3841, 7680, 7681, 15361])
 def test_folded_product_is_multiply_on_even_vectors(n):
-    # Off the primes the folded product is multiply folded, bit for bit; at
-    # the primes Rader's map and Bluestein's transforms agree to round-off.
+    # Off the primes the even sector's product is multiply's stored
+    # samples, bit for bit; at the primes Rader's map and Bluestein's
+    # transforms agree to round-off.  The full lattice's is multiply.
     half = theta_lattice(CylinderParams(n=3, gamma=0.5), 0, n, 2.0**-7)
     v = np.random.default_rng(n).standard_normal(n)
     v = v + v[::-1]
-    got = grid.unfold(grid.multiply_folded(grid.fold_spectrum(half, n), grid.fold(v), n), n)
+    sector = grid.Sector(n, True)
+    got = sector.apply(sector.spectrum(half), sector.restrict(v))
     full = multiply(half, v)
+    assert np.array_equal(grid.Sector(n, False).apply(half, v), full)
     if grid._rader_plan(n)[2] is None:
-        assert np.array_equal(got, grid.unfold(grid.fold(full), n))
+        assert np.array_equal(got, full[n // 2 :])
     else:
         scale = np.finfo(float).eps * np.max(np.abs(half)) * np.max(np.abs(v))
-        assert np.max(np.abs(got - full)) <= 4.0 * scale
+        assert np.max(np.abs(sector.extend(got) - full)) <= 4.0 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 13, 7680, 7681])
 def test_fold_round_trip_is_exact(n):
+    # An even vector and its stored samples map to each other exactly, and
+    # the weighted norm of the samples is the vector's 2-norm.  On the full
+    # lattice every vector is stored as it is, with unit weights.
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n)
     v = v + v[::-1]
-    f = grid.fold(v)
+    sector = grid.Sector(n, True)
+    f = sector.restrict(v)
     assert f.size == (n + 1) // 2
-    assert np.array_equal(grid.unfold(f, n), v)
+    assert np.array_equal(sector.extend(f), v)
+    weight, norm = sector.weights()
+    got = norm * np.linalg.norm(weight * f)
+    assert abs(got - np.linalg.norm(v)) <= 4.0 * np.finfo(float).eps * np.linalg.norm(v)
     f = rng.standard_normal((n + 1) // 2)
-    assert np.array_equal(grid.fold(grid.unfold(f, n)), f)
+    assert np.array_equal(sector.restrict(sector.extend(f)), f)
+    full, v = grid.Sector(n, False), rng.standard_normal(n)
+    assert np.array_equal(full.restrict(v), v) and np.array_equal(full.extend(v), v)
+    weight, norm = full.weights()
+    assert norm * np.linalg.norm(weight * full.restrict(v)) == np.linalg.norm(v)
 
 
 @pytest.mark.parametrize(
@@ -352,7 +367,7 @@ def test_multiply_round_trip_keeps_decaying_tails(dim, gamma, step):
 
 
 def test_rader_plan_only_at_odd_primes(cold):
-    # Every size has the fold's layout; no kernel off the odd primes.
+    # Every size has the even sector's layout; no kernel off the odd primes.
     for n in (1, 2, 9, 121, 481, 7680):
         index, bins, cos_in, cos_out = grid._rader_plan(n)
         assert cos_in is None and cos_out is None

@@ -9,7 +9,7 @@ import scipy.fft
 import cylspec.nonlinear
 import cylspec.symbol
 from cylspec.errors import DivergenceError, NegativityError, ValidationError, WindowError
-from cylspec.grid import GridFunction, fold_spectrum, multiply, tail_mask
+from cylspec.grid import GridFunction, Sector, multiply, tail_mask
 from cylspec.identities import pohozaev_check
 from cylspec.nonlinear import solve_profile
 from cylspec.profiles import bubble, frobenius_fit
@@ -18,16 +18,17 @@ from cylspec.symbol import CylinderParams, theta_lattice
 SIGMA0_K03 = 0.76091823639160877
 
 
-def _grid(fun, step=2.0**-7):
-    return GridFunction.from_callable(lambda t: fun(t) + 0j, -30.0, 30.0, step)
+def _grid(fun, step=2.0**-7, t_max=30.0):
+    return GridFunction.from_callable(lambda t: fun(t) + 0j, -t_max, t_max, step)
 
 
-def _perturbed_bubble(params, eps, f, step=2.0**-7):
-    """The scaled bubble times ``1 + eps cos(f t) exp(-t^2/18)``."""
+def _perturbed_bubble(params, eps, f, step=2.0**-7, t_max=30.0):
+    """The scaled bubble times ``1 + eps cos(f t) exp(-t^2/18)`` on ``[-t_max, t_max]``."""
     c = (params.lam - params.kappa) ** (1.0 / (params.p - 1.0))
     return _grid(
         lambda t: c * bubble(params, t) * (1.0 + eps * np.cos(f * t) * np.exp(-t * t / 18.0)),
         step,
+        t_max,
     )
 
 
@@ -57,10 +58,37 @@ def test_even_guess_yields_even_solution():
     assert np.min(w) >= -1e-8 * np.max(w)
 
 
+@pytest.mark.parametrize("step, t_max", [(2.0**-7, 30.0), (2.0**-6, 30.0), (2.0**-7, 30.0 - 2.0**-8)])
+def test_translated_guess_solves_on_the_full_lattice(monkeypatch, step, t_max):
+    # A guess rolled by one time unit is not even, so it is solved on the
+    # full lattice.  The periodized equation commutes with the roll, so the
+    # solution is the even solve's rolled, after as many Newton steps, at
+    # 7681 (prime), 3841 (composite) and 7680 (even) points.
+    params = CylinderParams(n=3, gamma=0.5, kappa=0.3)
+    guess = _perturbed_bubble(params, 0.13, 0.75, step, t_max)
+    shift = round(1.0 / step)
+    even = solve_profile(params, guess)
+    apply, sectors = Sector.apply, set()
+
+    def spy(sector, half, f):
+        sectors.add((sector.even, f.size))
+        return apply(sector, half, f)
+
+    monkeypatch.setattr(Sector, "apply", spy)
+    moved = solve_profile(params, guess.with_samples(np.roll(guess.samples, shift)))
+    assert sectors == {(False, guess.n_points)}
+    w = even.solution.samples
+    assert np.max(np.abs(moved.solution.samples - np.roll(w, shift))) <= 1e-12 * np.max(w)
+    assert moved.iterations == even.iterations
+    pairs = zip(even.history, moved.history)
+    assert all(abs(a.gmres_iterations - b.gmres_iterations) <= 1 for a, b in pairs)
+
+
 def test_composite_lattice_solves_on_the_natural_half_lattice(cold):
-    # 3841 points is 23 * 167: no Rader kernel, so the folded product unfolds,
-    # multiplies and folds.  The solution is exactly even, solves the
-    # equation on the whole lattice, and matches the 7681-point one.
+    # 3841 points is 23 * 167: no Rader kernel, so the even sector's product
+    # extends, multiplies and keeps the stored samples.  The solution is
+    # exactly even, solves the equation on the whole lattice, and matches
+    # the 7681-point one.
     params = CylinderParams(n=3, gamma=0.5, kappa=0.3)
     coarse = solve_profile(params, _grid(lambda t: 0.5 / np.cosh(t), step=2.0**-6))
     w = coarse.solution.samples
@@ -231,7 +259,7 @@ def test_right_preconditioning_closes_the_grid_gap(eps, f):
 @pytest.mark.parametrize("n, gamma, kappa", [(3, 0.5, 0.3), (4, 0.75, 0.0)])
 def test_one_circulant_per_krylov_iteration(cold, monkeypatch, n, gamma, kappa):
     # ``P`` is the circulant of one multiplier product.  A symmetric solve
-    # runs on the folded half lattice, where at the prime lattice size
+    # runs on the even sector, where at the prime lattice size
     # each product is two real transforms at (n - 1)/2; the one more there
     # is the Rader kernel's, built from a cold start.  One ``P`` per
     # Krylov product and one for each Newton step's true-residual check,
@@ -242,15 +270,15 @@ def test_one_circulant_per_krylov_iteration(cold, monkeypatch, n, gamma, kappa):
     calls = Counter()
     halves = []
     sizes = set()
-    rfft, folded, gmres = scipy.fft.rfft, cylspec.nonlinear.multiply_folded, cylspec.nonlinear.gmres
+    rfft, apply, gmres = scipy.fft.rfft, Sector.apply, cylspec.nonlinear.gmres
 
     def counted(x, n=None, *args, **kwargs):
         calls[x.shape[-1] if n is None else n] += 1
         return rfft(x, n, *args, **kwargs)
 
-    def spy(half, f, n):
+    def spy(sector, half, f):
         halves.append(half)
-        return folded(half, f, n)
+        return apply(sector, half, f)
 
     def spy_gmres(op, b, **kwargs):
         sizes.update({*op.shape, b.size})
@@ -259,14 +287,14 @@ def test_one_circulant_per_krylov_iteration(cold, monkeypatch, n, gamma, kappa):
     params = CylinderParams(n=n, gamma=gamma, kappa=kappa)
     guess = _perturbed_bubble(params, 0.13, 0.75)
     monkeypatch.setattr(scipy.fft, "rfft", counted)
-    monkeypatch.setattr(cylspec.nonlinear, "multiply_folded", spy)
+    monkeypatch.setattr(Sector, "apply", spy)
     monkeypatch.setattr(cylspec.nonlinear, "gmres", spy_gmres)
     report = solve_profile(params, guess)
     assert report.converged
     size = guess.samples.size
     m = (size - 1) // 2
     assert sizes == {m + 1}
-    sym_vals = fold_spectrum(theta_lattice(params, 0, size, guess.step) - params.kappa, size)
+    sym_vals = Sector(size, True).spectrum(theta_lattice(params, 0, size, guess.step) - params.kappa)
     inv_vals = 1.0 / sym_vals
     is_inv = [np.array_equal(h, inv_vals) for h in halves]
     is_sym = [np.array_equal(h, sym_vals) for h in halves]
