@@ -45,7 +45,7 @@ from .errors import (
     ThresholdError,
     ValidationError,
 )
-from .symbol import ModeIndex, _evaluate, mode_constants, theta, theta_derivative
+from .symbol import _evaluate, mode_constants, theta, theta_derivative
 
 __all__ = [
     "IndicialRoot",
@@ -118,11 +118,12 @@ def _solve(params, mode, kappa, along, lo, hi):
     ``rtsafe``) starts from the midpoint: each step narrows the bracket
     by the sign of ``Theta - kappa`` and takes the Newton step from the
     same symbol call if it lands strictly inside, else bisects, until a
-    zero residual, a step below ``_NEWTON_TOL max(1, |x|)`` (taken) or
+    zero residual, a step below ``_NEWTON_TOL max(1, |x|)`` (taken, but
+    not past ``hi``, on the axis a zero that a tiny level rounds onto) or
     adjacent floats.  Every root makes a scalar search's decisions.
     """
     lo_above = along.real == 0.0  # Theta - kappa > 0 at the lo end on the imaginary axis
-    x = 0.5 * (lo + hi)
+    x, top = 0.5 * (lo + hi), hi.copy()
     todo = np.arange(len(x))
     for _ in range(_STEP_MAXIT):
         if not todo.size:
@@ -142,7 +143,7 @@ def _solve(params, mode, kappa, along, lo, hi):
         x[todo] = np.where(r == 0.0, xt, np.where(newton, nxt, mid))
         done = (r == 0.0) | small | (~newton & ((mid == lt) | (mid == ht)))
         todo = todo[~done]
-    return x
+    return np.minimum(x, top)
 
 
 def _winding(params, mode, kappa, corners):
@@ -186,16 +187,15 @@ def _pole_count(a, sigma_lo, sigma_hi):
     return sum(1 for j in range(k) if 2.0 * a + 2.0 * j > sigma_lo)
 
 
-def certified_count(params, mode, sigma_lo, sigma_hi, tau_max=None):
+def certified_count(params, mode, sigma_lo, sigma_hi, tau_max):
     """Argument-principle zero count in [-tau_max, tau_max] x [sigma_lo, sigma_hi].
 
     Returns the number of resolvent poles (zeros of ``Theta_m - kappa``)
     in the rectangle, each counted with multiplicity; the known symbol
     poles on the imaginary axis are added back to the winding number.
-    The boundary must stay away from roots and symbol poles.
+    The boundary must stay away from roots and symbol poles; :func:`find_roots`
+    counts over the half-width ``4 (m + 10)`` or wider.
     """
-    if tau_max is None:
-        tau_max = _default_tau_max(mode)
     a, _ = mode_constants(params, mode)
     corners = [complex(-tau_max, sigma_lo), complex(tau_max, sigma_lo)]
     corners += [complex(tau_max, sigma_hi), complex(-tau_max, sigma_hi)]
@@ -227,8 +227,9 @@ def find_roots(params, mode=0, count=12):
     returning a wrong root.  At mode 0 the limit lies between 15 and
     21.5 ``Theta_0(0)`` for ``(n, gamma) = (3, 0.05)`` and between 100
     and 1000 ``Theta_0(0)`` for ``(2, 0.1)``, while at ``(3, 0.5)`` even
-    ``1e8 Theta_0(0)`` gives only ``tau_0 = 6.4e7``.  Where ``tau_0``
-    would pass the float range, :class:`NoRootError` is raised instead.
+    ``1e8 Theta_0(0)`` gives only ``tau_0 = 6.4e7``.  Past the far end's
+    doubling cap ``2^199 = 8.0e59`` (at ``(3, 0.05)`` from ``kappa = 1e6``)
+    :class:`NoRootError` is raised instead.
 
     Results are memoized on ``(params, mode)``: a call for at most as
     many roots as an earlier one returns a new list holding that call's
@@ -301,16 +302,10 @@ def _assemble(params, mode, kappa, locations):
     ]
 
 
-def _default_tau_max(mode):
-    """Half-width ``4 (m + 10)`` of the default counting rectangle."""
-    m = mode.degree if isinstance(mode, ModeIndex) else int(mode)
-    return 4.0 * (m + 10)
-
-
 def _certify(params, mode, unstable, a, b, roots):
     """One winding count over a rectangle enclosing every returned root.
 
-    The rectangle is the default one, widened to ``1.5 max tau`` when an
+    Its half-width is ``4 (m + 10)``, widened to ``1.5 max tau`` when an
     unstable real pair lies beyond it.
     """
     sig = [r.sigma for r in roots]
@@ -320,7 +315,7 @@ def _certify(params, mode, unstable, a, b, roots):
     else:
         bottom = 0.5 * min(s for s in sig if s > 0.0)
     expected = sum(1 if r.tau == 0.0 else 2 for r in roots)
-    tau_max = max(_default_tau_max(mode), 1.5 * max(r.tau for r in roots))
+    tau_max = max(4.0 * (mode + 10), 1.5 * max(r.tau for r in roots))
     got = certified_count(params, mode, bottom, top, tau_max)
     if got != expected:
         err = IncompleteError(

@@ -152,14 +152,6 @@ def solve_profile(
     initial_guess.require_real()
     w = initial_guess.samples
     peak0 = float(np.max(np.abs(w)))
-    if peak0 == 0.0:
-        return SolveReport(
-            solution=initial_guess.with_samples(np.zeros_like(w)),
-            residual_norm=0.0,
-            iterations=0,
-            converged=True,
-            trivial=True,
-        )
     if float(np.min(w)) < -1e-10 * peak0:
         raise ValidationError("initial guess must be non-negative")
     initial_guess.require_decay(DECAY)

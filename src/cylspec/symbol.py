@@ -162,15 +162,9 @@ class ModeIndex:
         return cls(degree=ell, eigenvalue=mu, multiplicity=mult)
 
 
-def _coerce_mode(params, mode):
-    if isinstance(mode, ModeIndex):
-        return mode
-    return ModeIndex.of(params.n, mode)
-
-
 def mode_constants(params, mode=0):
-    """Indicial constants ``(A_m, B_m)`` of mode ``m``; ``A_m - B_m = gamma``."""
-    mode = _coerce_mode(params, mode)
+    """Constants ``(A_m, B_m)``, ``A_m - B_m = gamma``, of the integer degree ``m >= 0``."""
+    mode = ModeIndex.of(params.n, mode)
     half = 0.5 * math.sqrt((params.n / 2.0 - 1.0) ** 2 + mode.eigenvalue)
     a = 0.5 + params.gamma / 2.0 + half
     b = 0.5 - params.gamma / 2.0 + half

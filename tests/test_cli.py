@@ -1,5 +1,6 @@
 """End-to-end command-line checks: artifacts, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -15,6 +16,7 @@ from cylspec import cli
 from cylspec.cli import main
 from cylspec.greens import build_greens, solve_convolution
 from cylspec.grid import GridFunction
+from cylspec.identities import PohozaevReport
 from cylspec.profiles import bubble, cylinder_constant
 from cylspec.symbol import CylinderParams
 
@@ -413,6 +415,41 @@ def test_frobenius_on_solved_profile(tmp_path, capsys):
     assert meta["residual"] <= 0.05
 
 
+def test_profile_reads_back_from_json_as_from_csv(tmp_path, capsys):
+    # solve-profile's default artifact is JSON; pohozaev and frobenius read
+    # it back to the same reports as the CSV artifact gives.
+    base = ["--n", "3", "--gamma", "0.5"]
+    reports = {}
+    for fmt in ("json", "csv"):
+        path = str(tmp_path / f"profile.{fmt}")
+        flags = [] if fmt == "json" else ["--format", "csv"]
+        code, _ = _run(
+            capsys, ["solve-profile", *base, "--tolerance", "1e-10", "--output", path, *flags]
+        )
+        assert code == 0
+        for command in ("pohozaev", "frobenius"):
+            code, out = _run(capsys, [command, *base, "--input", path])
+            assert code == 0
+            meta = json.loads(out)["metadata"]
+            assert meta.pop("config")["input"] == path
+            reports[fmt, command] = meta
+    for command in ("pohozaev", "frobenius"):
+        assert reports["json", command] == reports["csv", command]
+
+
+def test_pohozaev_without_input_solves_first(capsys):
+    code, out = _run(capsys, ["pohozaev", "--n", "3", "--gamma", "0.5"])
+    assert code == 0
+    meta = json.loads(out)["metadata"]
+    assert meta["config"]["input"] is None
+    solve = {"residual_norm", "iterations", "converged", "trivial"}
+    identity = {f.name for f in dataclasses.fields(PohozaevReport)}
+    scaled = {"scaled_gradient", "scaled_mass", "scaled_nonlinear"}
+    assert set(meta) == {"config"} | solve | identity | scaled
+    assert meta["converged"] is True and meta["residual_norm"] <= 1e-6
+    assert meta["relative_spread"] <= 1e-3
+
+
 def test_validation_exit_codes(capsys):
     code, out = _run(
         capsys, ["solve-profile", "--n", "3", "--gamma", "0.5", "--kappa", "0.9"]
@@ -428,6 +465,11 @@ def test_validation_exit_codes(capsys):
     code, out = _run(capsys, ["pohozaev", "--n", "3", "--gamma", "0.5", "--p", "1.9"])
     assert code == 2
 
+    for flags, advice in ((["--kappa", "0.3"], "drop --kappa"), (["--p", "1.8"], "drop --p")):
+        code, out = _run(capsys, ["verify-bubble", "--n", "3", "--gamma", "0.5", *flags])
+        assert code == 2
+        assert json.loads(out)["message"].endswith(advice)
+
     code, out = _run(
         capsys,
         ["frobenius", "--n", "3", "--gamma", "0.5", "--input", "/nope/missing.csv"],
@@ -440,6 +482,7 @@ def test_validation_exit_codes(capsys):
         (["--tolerance", "0"], "tolerance must be positive, got 0.0"),
         (["--truncation", "0"], "truncation must be at least 1, got 0"),
         (["--t-min", "5", "--t-max", "5"], "grid [5.0, 5.0] with step 0.0078125 is empty"),
+        (["--t-max", "0.001"], "t_max must be at least one step for greens"),
     ):
         code, out = _run(capsys, base + flags)
         assert code == 2

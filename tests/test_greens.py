@@ -68,6 +68,11 @@ def test_series_structure():
     assert series.tail_bound_at(2.0) < series.tail_bound_at(1.0) < series.tail_bound
 
 
+def test_negative_truncation_is_rejected():
+    with pytest.raises(ValidationError, match="truncation must be >= 0, got -1"):
+        build_greens(P03, mode=0, truncation=-1)
+
+
 def test_series_matches_quadrature_freeze():
     series = build_greens(P03, mode=0, truncation=80)
     for t, want in G_35_K03.items():
@@ -611,6 +616,18 @@ def test_asymptotic_coefficients_of_a_sign_changing_source_are_real():
     turned = asymptotic_coefficients(series.roots[:2], h.with_samples(h.samples * (1.0 + 1.0j)))
     for c, t in zip(coeffs, turned):
         assert type(t) is complex and abs(t - (1.0 + 1.0j) * c) <= 1e-14 * abs(c)
+
+
+def test_asymptotic_coefficients_of_the_real_pair():
+    # An unstable level's real pair +-tau_0 takes the cosine and sine
+    # moments; those of a Gaussian are sqrt(2 pi) exp(-tau_0^2 / 2) and 0.
+    roots = find_roots(CylinderParams(n=3, gamma=0.5, kappa=1.0), 0, count=2)
+    assert roots[0].sigma == 0.0 and roots[0].tau > 0.0
+    h = GridFunction.from_callable(lambda t: np.exp(-(t**2) / 2.0))
+    [(c1, c2)] = asymptotic_coefficients(roots[:1], h)
+    want = math.sqrt(2.0 * math.pi) * math.exp(-roots[0].tau ** 2 / 2.0)
+    assert abs(c1 - want) <= 1e-12 * want
+    assert abs(c2) <= 1e-12
 
 
 def test_asymptotic_amplitude_law():

@@ -50,6 +50,14 @@ def test_lattice_invariant():
     g = GridFunction(t_min=0.0, t_max=1.0, step=0.25, samples=np.zeros(5))
     assert g.n_points == 5
     assert np.allclose(g.t, [0.0, 0.25, 0.5, 0.75, 1.0])
+    for t_min, t_max, step, samples, message in (
+        (np.nan, 1.0, 0.25, np.zeros(5), "finite"),
+        (0.0, 1.0, 0.0, np.zeros(5), "step positive"),
+        (1.0, 1.0, 0.25, np.zeros(1), "empty window"),
+        (0.0, 1.0, 0.25, [0.0, 1.0, np.inf, 1.0, 0.0], "samples must be finite"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            GridFunction(t_min=t_min, t_max=t_max, step=step, samples=samples)
 
 
 def test_samples_are_immutable():
@@ -117,8 +125,9 @@ def test_csv_header_is_checked(tmp_path):
         b"t,re,im\n0,1,0\n0.5,2\n1,3,0\n",
         b"t,re,im\n0,1,0\n0.1,2,0\n0.5,3,0\n1.0,4,0\n",
         b"\xff\xfet,re,im\n0,1,0\n1,3,0\n",
+        b"t,re,im\n0,1,0\n",
     ],
-    ids=["non-numeric", "missing-column", "non-uniform", "not-utf-8"],
+    ids=["non-numeric", "missing-column", "non-uniform", "not-utf-8", "one-sample"],
 )
 def test_malformed_csv_lattice_files_are_rejected(tmp_path, text):
     # The non-uniform t column would otherwise load as 0, 1/3, 2/3, 1.

@@ -15,6 +15,7 @@ from cylspec.errors import (
     CylspecError,
     DegenerateRootError,
     IncompleteError,
+    NoRootError,
     QuadratureError,
     ThresholdError,
     ValidationError,
@@ -290,6 +291,9 @@ def test_memo_is_bounded(cold):
 @example(n=2, gamma=0.99999, mode=3, count=8, unstable=False, rel=0.5)  # |z| 17, |Theta'| 1.4e7
 # The nearest float to the root (0.36 ulp off 40-digit mpmath) leaves 1.1e-8, |Theta'| 2.8e8.
 @example(n=2, gamma=1e-09, mode=0, count=1, unstable=False, rel=0.75)
+# At kappa = 1.2e-16 the last Newton step, below the stop, left the bracket
+# one ulp past the zero 2 B_1 + 10 that ends its window; it now stops there.
+@example(n=2, gamma=0.8329321518687206, mode=1, count=6, unstable=False, rel=0.9999999999999999)
 @given(
     n=st.integers(2, 8),
     gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -468,3 +472,12 @@ def test_large_real_pair_certifies_or_raises_named_error(n, gamma, level, failur
     assert root.sigma == 0.0 and math.isfinite(root.tau) and root.tau > 1e9
     residual = complex(theta(params, 0, root.tau)).real - params.kappa
     assert abs(residual) <= 1e-12 * params.kappa
+
+
+@pytest.mark.parametrize("kappa", [1e6, 1e31])
+def test_real_pair_past_the_doubling_cap_raises_no_root(kappa):
+    # At (3, 0.05) tau_0 ~ kappa^10 passes the far end's doubling cap
+    # 2^199 = 8.0e59 already at kappa = 1e6.
+    params = CylinderParams(n=3, gamma=0.05, kappa=kappa)
+    with pytest.raises(NoRootError, match="on the real axis up to 8.03"):
+        find_roots(params, 0, count=2)

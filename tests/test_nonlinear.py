@@ -12,7 +12,7 @@ from cylspec.errors import DivergenceError, NegativityError, ValidationError, Wi
 from cylspec.grid import GridFunction, Sector, multiply, tail_mask
 from cylspec.identities import pohozaev_check
 from cylspec.nonlinear import solve_profile
-from cylspec.profiles import bubble, frobenius_fit
+from cylspec.profiles import bubble, cylinder_constant, frobenius_fit
 from cylspec.symbol import CylinderParams, theta_lattice
 
 SIGMA0_K03 = 0.76091823639160877
@@ -162,6 +162,19 @@ def test_positivity_loss_raises():
     history = failure.value.history
     # the failing step is last, with no step accepted
     assert history and history[-1].alpha == 0.0 and history[-1].gmres_info == 0
+    assert all(step.alpha > 0.0 for step in history[:-1])
+
+
+def test_tolerance_below_round_off_stalls():
+    # The exact profile on 3841 points reaches a residual near 1e-14, which
+    # round-off keeps above 1e-16: no halving of the last step lowers it.
+    params = CylinderParams(n=3, gamma=0.5)
+    c = cylinder_constant(params)
+    guess = _grid(lambda t: c * bubble(params, t), step=2.0**-6)
+    with pytest.raises(DivergenceError, match="residual stalled") as failure:
+        solve_profile(params, guess, tolerance=1e-16)
+    history = failure.value.history
+    assert history[-1].alpha == 0.0 and history[-1].residual < 1e-12
     assert all(step.alpha > 0.0 for step in history[:-1])
 
 
